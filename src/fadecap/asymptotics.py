@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 from .distributions import FadingDistribution
 from .numerics import EULER_MASCHERONI, digamma
-from .schemes import Scheme
+from .schemes import Scheme, _tci_tail
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,8 @@ def low_snr_slope(dist: FadingDistribution, scheme: Scheme, z_t: float = None) -
     """Analytic limit of dC/dS at S -> 0 for one scheme.
 
     OA's slope is the top of the support (infinite for the usual
-    unbounded gains). TCI and CTCI take their fixed threshold.
+    unbounded gains). TCI and CTCI take their fixed threshold and reduce
+    to CI at threshold 0; TCI raises ValueError where ``tci_dmax`` does.
     """
     scheme = Scheme(scheme)
     if scheme in (Scheme.AWGN, Scheme.RA):
@@ -157,12 +158,12 @@ def low_snr_slope(dist: FadingDistribution, scheme: Scheme, z_t: float = None) -
         return 0.0 if not dist.inverse_mean_finite else 1.0 / dist.inverse_mean
     if z_t is None:
         raise ValueError(f"{scheme.value} slope needs a threshold")
-    outage_cdf = float(dist.cdf(z_t))
-    if scheme is Scheme.TCI:
-        return (1.0 - outage_cdf) / dist.tail_inverse_integral(z_t)
-    # CTCI: limits 0 and inf reduce to CI and RA
     if z_t == 0.0:
         return low_snr_slope(dist, Scheme.CI)
+    outage_cdf = float(dist.cdf(z_t))
+    if scheme is Scheme.TCI:
+        return (1.0 - outage_cdf) / _tci_tail(dist, z_t)
+    # CTCI: the infinite threshold reduces to RA
     if math.isinf(z_t):
         return dist.mean
     numer = dist.head_mean(z_t) + z_t * (1.0 - outage_cdf)

@@ -7,8 +7,9 @@ Gamma) used by the fading-gain models.
 
 The semi-infinite case maps [a, inf) onto [0, 1) with z = a + t/(1-t),
 so exponential, power-law and extreme-value tails are all handled by the
-same adaptive rule. Quadrature and root finding are delegated to
-QUADPACK / Brent via scipy behind the interfaces below.
+same adaptive rule. Quadrature, root finding and maximization are
+delegated to scipy (QUADPACK, Brent's root finder and bounded Brent
+minimization) behind the interfaces below.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ EULER_MASCHERONI = 0.5772156649015329
 ABS_TOL_FLOOR = 1e-14
 DEFAULT_REL_TOL = 1e-10
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _QUAD_LIMIT = 250
 
 
@@ -177,13 +177,13 @@ def maximize_unimodal(
 ) -> tuple[float, float]:
     """Maximize a (nominally unimodal) h on the bracket.
 
-    A grid pre-scan guards against mild non-unimodality before
-    golden-section refinement around the best grid cell. The grid and
-    the refinement work in log coordinates when the bracket is positive
-    and spans more than a decade, so wide threshold searches get uniform
+    A grid pre-scan guards against mild non-unimodality before scipy's
+    bounded Brent refinement inside the best grid cell. The grid and the
+    refinement work in log coordinates when the bracket is positive and
+    spans more than a decade, so wide threshold searches get uniform
     relative resolution; ``tol`` is then a width in log space. On
-    plateaus the scan and the tie-breaking both prefer the smallest
-    argument.
+    plateaus the grid keeps the smallest argument, and the refined point
+    replaces it only when its value is strictly larger.
 
     Returns ``(argmax, max)`` with ``max`` at least the value of h at
     both bracket ends.
@@ -192,8 +192,10 @@ def maximize_unimodal(
     use_log = lo > 0.0 and hi / lo >= 10.0
     if use_log:
         grid = np.geomspace(lo, hi, grid_points)
+        to_u, from_u = math.log, math.exp
     else:
         grid = np.linspace(lo, hi, grid_points)
+        to_u, from_u = float, float
     values = [h(float(x)) for x in grid]
     best = int(np.argmax(values))
     best_x, best_val = float(grid[best]), float(values[best])
@@ -202,32 +204,14 @@ def maximize_unimodal(
     right = float(grid[min(best + 1, grid_points - 1)])
     if left == right:
         return best_x, best_val
-
-    if use_log:
-        to_u, from_u = math.log, math.exp
-    else:
-        to_u, from_u = (lambda x: x), (lambda x: x)
-
-    ua, ub = to_u(left), to_u(right)
-    u1 = ub - _INV_GOLDEN * (ub - ua)
-    u2 = ua + _INV_GOLDEN * (ub - ua)
-    f1 = h(from_u(u1))
-    f2 = h(from_u(u2))
-    for _ in range(200):
-        if ub - ua <= tol:
-            break
-        if f1 >= f2:  # ties keep the left interval: smallest near-optimal point
-            ub, u2, f2 = u2, u1, f1
-            u1 = ub - _INV_GOLDEN * (ub - ua)
-            f1 = h(from_u(u1))
-        else:
-            ua, u1, f1 = u1, u2, f2
-            u2 = ua + _INV_GOLDEN * (ub - ua)
-            f2 = h(from_u(u2))
-    if f1 >= f2 and f1 > best_val:
-        best_x, best_val = from_u(u1), f1
-    elif f2 > f1 and f2 > best_val:
-        best_x, best_val = from_u(u2), f2
+    refined = optimize.minimize_scalar(
+        lambda u: -h(from_u(u)),
+        bounds=(to_u(left), to_u(right)),
+        method="bounded",
+        options={"xatol": tol},
+    )
+    if -refined.fun > best_val:
+        best_x, best_val = from_u(refined.x), -refined.fun
     return float(best_x), float(best_val)
 
 

@@ -20,6 +20,7 @@ Schemes:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -50,6 +51,7 @@ class ThresholdSolution:
 
     z_t: float
     residual: float
+    # cutoffs integrated (oa_threshold) or capacities computed (tci_optimize)
     iterations: int
 
 
@@ -92,13 +94,13 @@ def oa_threshold(dist: FadingDistribution, S: float) -> ThresholdSolution:
 
     The constraint LHS decreases monotonically in the cutoff and the
     solution lies strictly below 1/S (and below the support top), which
-    gives a rigorous bracket for safeguarded root finding.
+    gives a rigorous bracket for safeguarded root finding. Each cutoff
+    is integrated once, though the root finder revisits its points.
     """
     _check_power(S)
-    evals = [0]
 
+    @functools.cache
     def g(z_t: float) -> float:
-        evals[0] += 1
         return _oa_power_integral(dist, S, z_t) - 1.0
 
     hi = min(1.0 / S, dist.support_sup)
@@ -112,7 +114,7 @@ def oa_threshold(dist: FadingDistribution, S: float) -> ThresholdSolution:
         if lo < 1e-300:
             raise RuntimeError("failed to bracket the water-filling cutoff")
     root = find_root_monotone(g, Bracket(lo, hi), tol=1e-15)
-    return ThresholdSolution(z_t=root, residual=g(root), iterations=evals[0])
+    return ThresholdSolution(z_t=root, residual=g(root), iterations=g.cache_info().misses)
 
 
 def oa_capacity(dist: FadingDistribution, S: float) -> CapacityResult:
@@ -149,29 +151,35 @@ def ci_capacity(dist: FadingDistribution, S: float) -> CapacityResult:
     return CapacityResult(Scheme.CI, S, math.log1p(S / dist.inverse_mean))
 
 
+def _tci_tail(dist: FadingDistribution, z_t: float) -> float:
+    """T(z_t) at a TCI cutoff; ValueError unless channel mass survives it."""
+    if not 0.0 < z_t < dist.support_sup:
+        raise ValueError(
+            f"threshold must lie inside the support (0, {dist.support_sup}), got {z_t}"
+        )
+    tail = dist.tail_inverse_integral(z_t)
+    if z_t * tail <= 0.0:
+        raise ValueError(f"no channel mass above threshold {z_t}")
+    return tail
+
+
 def tci_dmax(dist: FadingDistribution, z_t: float) -> float:
     """Peak power ratio of truncated inversion at cutoff z_t.
 
     Always exceeds 1: the power saved while silent below the cutoff is
     spent above it. Independent of S.
     """
-    if not 0.0 < z_t < dist.support_sup:
-        raise ValueError(
-            f"threshold must lie inside the support (0, {dist.support_sup}), got {z_t}"
-        )
-    denom = z_t * dist.tail_inverse_integral(z_t)
-    if denom <= 0.0:
-        raise ValueError(f"no channel mass above threshold {z_t}")
-    return 1.0 / denom
+    return 1.0 / (z_t * _tci_tail(dist, z_t))
 
 
 def tci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityResult:
     """Truncated inversion: (1 - F(z_t)) log(1 + S D_max z_t)."""
     _check_power(S)
-    d_max = tci_dmax(dist, z_t)
+    tail = _tci_tail(dist, z_t)
+    d_max = 1.0 / (z_t * tail)
     outage = float(dist.cdf(z_t))
     cap = (1.0 - outage) * math.log1p(S * d_max * z_t)
-    residual = d_max * z_t * dist.tail_inverse_integral(z_t) - 1.0
+    residual = d_max * z_t * tail - 1.0
     return CapacityResult(
         Scheme.TCI,
         S,
@@ -203,10 +211,11 @@ def tci_optimize(
 ) -> tuple[ThresholdSolution, CapacityResult]:
     """Best fixed threshold for truncated inversion at power S.
 
-    A log-spaced grid scan followed by golden-section refinement; on
-    plateaus the smallest near-optimal threshold is returned. The
-    capacity surface is not guaranteed unimodal, which is exactly what
-    the grid pre-scan guards against.
+    A log-spaced grid scan followed by bounded Brent refinement inside
+    the best grid cell. The grid keeps the smallest threshold on ties,
+    and the refined threshold replaces it only when its capacity is
+    strictly larger. The capacity surface is not guaranteed unimodal,
+    which is exactly what the grid pre-scan guards against.
     """
     _check_power(S)
     if bracket is None:
@@ -227,6 +236,11 @@ def tci_optimize(
     return solution, result
 
 
+def _check_ctci_threshold(z_t: float):
+    if z_t < 0.0:
+        raise ValueError(f"threshold must be nonnegative, got {z_t}")
+
+
 def ctci_dmax(dist: FadingDistribution, z_t: float) -> float:
     """Power ratio of continuous truncated inversion at cutoff z_t.
 
@@ -234,12 +248,10 @@ def ctci_dmax(dist: FadingDistribution, z_t: float) -> float:
     ratio applied to a vanishing gain, recovering plain inversion) and
     the infinite-threshold limit is 1 (constant power).
     """
-    if z_t < 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {z_t}")
+    _check_ctci_threshold(z_t)
     if z_t == 0.0:
         return math.inf
-    denom = float(dist.cdf(z_t)) + z_t * dist.tail_inverse_integral(z_t)
-    return 1.0 / denom
+    return 1.0 / (float(dist.cdf(z_t)) + z_t * dist.tail_inverse_integral(z_t))
 
 
 def ctci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityResult:
@@ -250,8 +262,7 @@ def ctci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityRes
     support reproduce CI and RA exactly.
     """
     _check_power(S)
-    if z_t < 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {z_t}")
+    _check_ctci_threshold(z_t)
     if z_t == 0.0:
         ci = ci_capacity(dist, S)
         residual = None
@@ -266,13 +277,14 @@ def ctci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityRes
             power_constraint_residual=residual,
             degenerate=ci.degenerate,
         )
-    d_max = ctci_dmax(dist, z_t)
     outage_cdf = float(dist.cdf(z_t))
+    denom = outage_cdf + z_t * dist.tail_inverse_integral(z_t)
+    d_max = 1.0 / denom
     below = dist.expect(
         lambda z: np.log1p(S * d_max * z), hi=z_t, rel_tol=CAPACITY_REL_TOL
     )
     cap = below + (1.0 - outage_cdf) * math.log1p(S * d_max * z_t)
-    residual = d_max * (outage_cdf + z_t * dist.tail_inverse_integral(z_t)) - 1.0
+    residual = d_max * denom - 1.0
     return CapacityResult(
         Scheme.CTCI,
         S,

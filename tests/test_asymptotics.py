@@ -1,6 +1,7 @@
 """High-SNR gaps, pre-log constants and low-SNR slopes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from fadecap.schemes import (
     oa_capacity,
     ra_capacity,
     tci_capacity,
+    tci_dmax,
 )
 
 LN2 = math.log(2.0)
@@ -250,6 +252,20 @@ class TestLowSnrSlopes:
     def test_tci_slope_monotone_in_threshold(self, gamma2):
         slopes = [low_snr_slope(gamma2, Scheme.TCI, z) for z in (0.25, 0.5, 1.0, 2.0, 4.0)]
         assert all(b > a for a, b in zip(slopes, slopes[1:]))
+
+    @pytest.mark.parametrize("law, z_t", [("tab", 10.0), ("tab", 12.0), ("gamma2", 800.0)])
+    def test_tci_slope_without_surviving_mass_raises_like_dmax(self, gamma2, law, z_t):
+        z = np.linspace(0.0, 10.0, 11)
+        tab = make_tabulated(np.column_stack([z, z * np.exp(-z / 3.0)]))
+        dist = tab if law == "tab" else gamma2
+        with pytest.raises(ValueError) as expected:
+            tci_dmax(dist, z_t)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            low_snr_slope(dist, Scheme.TCI, z_t)
+
+    def test_tci_slope_at_zero_threshold_is_ci(self, gamma2):
+        ci = low_snr_slope(gamma2, Scheme.CI)
+        assert low_snr_slope(gamma2, Scheme.TCI, 0.0) == pytest.approx(ci, abs=1e-12)
 
     def test_report_listing(self, gamma2):
         reports = low_snr_slopes(gamma2, tci_thresholds=(1.0,), ctci_thresholds=(1.0,))

@@ -163,6 +163,14 @@ class TestMaximizeUnimodal:
         x, _ = maximize_unimodal(h, Bracket(1e-6, 1e2), tol=1e-10)
         assert x == pytest.approx(0.01, rel=1e-4)
 
+    @pytest.mark.parametrize("lo, spacing", [(0.0, np.linspace), (1e-3, np.geomspace)])
+    def test_plateau_keeps_first_grid_point_on_it(self, lo, spacing):
+        # min(x, 1) is flat from x = 1: no refined point is strictly
+        # better, so the first grid point on the plateau is returned
+        grid = spacing(lo, 3.0, 64)
+        x, v = maximize_unimodal(lambda x: min(x, 1.0), Bracket(lo, 3.0))
+        assert (x, v) == (float(grid[grid >= 1.0][0]), 1.0)
+
 
 class TestSpecialFunctions:
     def test_digamma_at_one(self):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from fadecap import schemes
 from fadecap.distributions import (
+    FadingDistribution,
     make_gamma_diversity,
     make_max_exponential,
     make_miso_multiuser,
@@ -82,6 +84,20 @@ class TestOaThreshold:
 
     def test_high_power_bound(self, miso22):
         assert oa_threshold(miso22, 1e6).z_t < 1e-6
+
+    @pytest.mark.parametrize("S", [0.01, 1.0, 100.0, 1e6])
+    def test_each_cutoff_is_integrated_once(self, monkeypatch, gamma2, miso22, S):
+        original = schemes._oa_power_integral
+        for d in (gamma2, miso22, spike_at(2.0)):
+            cutoffs = []
+
+            def counted(dist, S, z_t):
+                cutoffs.append(z_t)
+                return original(dist, S, z_t)
+
+            monkeypatch.setattr(schemes, "_oa_power_integral", counted)
+            sol = oa_threshold(d, S)
+            assert len(set(cutoffs)) == len(cutoffs) == sol.iterations
 
     def test_power_times_cutoff_approaches_one(self, gamma2):
         products = [S * oa_threshold(gamma2, S).z_t for S in (1.0, 10.0, 1e3, 1e6)]
@@ -195,6 +211,20 @@ class TestTci:
         slope_formula = (1.0 - gamma2.cdf(z_t)) / gamma2.tail_inverse_integral(z_t)
         got = tci_capacity(gamma2, S, z_t).capacity_nats / S
         assert got == pytest.approx(slope_formula, rel=1e-6)
+
+
+@pytest.mark.parametrize("capacity_fn", [tci_capacity, ctci_capacity])
+def test_truncated_capacity_integrates_the_tail_once(monkeypatch, miso22, capacity_fn):
+    original = FadingDistribution.tail_inverse_integral
+    points = []
+
+    def counted(dist, t):
+        points.append(t)
+        return original(dist, t)
+
+    monkeypatch.setattr(FadingDistribution, "tail_inverse_integral", counted)
+    capacity_fn(miso22, 10.0, 1.0)
+    assert points == [1.0]
 
 
 class TestTciOptimize:
