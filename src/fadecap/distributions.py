@@ -27,6 +27,11 @@ Built-in families:
 * ``make_tabulated(grid)``     -- piecewise-linear density from (z, pdf)
   samples, for gain laws with no closed form.
 
+Densities and distribution functions accept a scalar or an array. A
+scalar float argument returns a Python float through a direct path with
+no array allocation, which is the path adaptive quadrature takes one
+point at a time; an array argument returns an array of the same shape.
+
 Distributions are immutable after construction; samplers take an
 explicit numpy Generator so callers own all random state.
 """
@@ -65,9 +70,18 @@ DISTRIBUTION_KINDS = (
 def _as_float_or_array(z, compute_pos, at_zero: float = 0.0):
     """Evaluate ``compute_pos`` on the z > 0 entries, filling the rest.
 
-    Accepts scalars or arrays; negative arguments map to 0, z == 0 maps
-    to ``at_zero`` (the continuous limit of the density there).
+    Accepts scalars or arrays; negative and NaN arguments map to 0,
+    z == 0 maps to ``at_zero`` (the continuous limit of the density
+    there). A float argument (a Python float, or ``np.float64``) takes a
+    direct path with no array allocation and returns a Python float:
+    quadrature calls densities one point at a time, so this path sets
+    the cost of every capacity integral. ``compute_pos`` therefore gets
+    either an array or an ``np.float64`` scalar and must accept both.
     """
+    if isinstance(z, float):
+        if z > 0.0:
+            return float(compute_pos(np.float64(z)))
+        return at_zero if z == 0.0 else 0.0
     arr = np.asarray(z, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -143,9 +157,9 @@ class FadingDistribution:
         return self.sampler(rng, int(size))
 
     def scaled(self, c: float) -> "FadingDistribution":
-        """The law of c * z for c > 0 (exact moment transforms)."""
-        if not c > 0.0:
-            raise ValueError(f"scale must be positive, got {c}")
+        """The law of c * z for finite c > 0 (exact moment transforms)."""
+        if not 0.0 < c < math.inf:
+            raise ValueError(f"scale must be finite and positive, got {c}")
         base = self
         scaled_expect = None
         if base.expect_impl is not None:
@@ -172,12 +186,13 @@ def _validate(dist: FadingDistribution) -> FadingDistribution:
     """Construction-time sanity checks shared by all factories."""
     if abs(float(dist.cdf(0.0))) > 1e-12:
         raise ValueError(f"{dist.name}: cdf(0) must be 0")
+    # written as "not within" so that a NaN fails each check
     mass = dist.expect(rel_tol=1e-10)
-    if abs(mass - 1.0) > _MASS_TOL:
+    if not abs(mass - 1.0) <= _MASS_TOL:
         raise ValueError(f"{dist.name}: density mass {mass} deviates from 1")
     if dist.mean_finite:
         mean_quad = dist.expect(lambda z: z, rel_tol=1e-10)
-        if abs(mean_quad - dist.mean) > _MEAN_CROSS_CHECK_RTOL * max(abs(dist.mean), 1.0):
+        if not abs(mean_quad - dist.mean) <= _MEAN_CROSS_CHECK_RTOL * max(abs(dist.mean), 1.0):
             raise ValueError(
                 f"{dist.name}: mean {dist.mean} vs quadrature {mean_quad} mismatch"
             )
@@ -238,15 +253,16 @@ def make_max_exponential(K) -> FadingDistribution:
     """
     K = _check_positive_int(K, "K")
 
+    # 1 - e^(-z) as -expm1(-z): forming it from exp(-z) cancels for small z
     def pdf(z):
         return _as_float_or_array(
             z,
-            lambda zp: K * np.exp(-zp + (K - 1) * np.log1p(-np.exp(-zp))),
+            lambda zp: K * np.exp(-zp + (K - 1) * np.log(-np.expm1(-zp))),
             at_zero=1.0 if K == 1 else 0.0,
         )
 
     def cdf(z):
-        return _as_float_or_array(z, lambda zp: np.exp(K * np.log1p(-np.exp(-zp))))
+        return _as_float_or_array(z, lambda zp: np.exp(K * np.log(-np.expm1(-zp))))
 
     mean = _harmonic(K)
     knots = (0.5 * mean, mean, mean + 4.0)
@@ -294,19 +310,24 @@ def make_frechet(alpha: float, K=1) -> FadingDistribution:
     vanishes faster than any power at 0, so the diversity order is
     infinite.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     K = _check_positive_int(K, "K")
     scale = K ** (1.0 / alpha)
+
+    def inv_power(zp):
+        # z^(-alpha) overflows to inf near 0, where pdf and cdf are 0
+        with np.errstate(over="ignore"):
+            return zp ** (-alpha)
 
     def pdf(z):
         return _as_float_or_array(
             z,
-            lambda zp: alpha * K * np.exp(-(alpha + 1) * np.log(zp) - K * zp ** (-alpha)),
+            lambda zp: alpha * K * np.exp(-(alpha + 1) * np.log(zp) - K * inv_power(zp)),
         )
 
     def cdf(z):
-        return _as_float_or_array(z, lambda zp: np.exp(-K * zp ** (-alpha)))
+        return _as_float_or_array(z, lambda zp: np.exp(-K * inv_power(zp)))
 
     mean = scale * float(special.gamma(1.0 - 1.0 / alpha)) if alpha > 1.0 else math.inf
 
@@ -343,13 +364,11 @@ def make_miso_multiuser(N, K) -> FadingDistribution:
 
     def pdf(z):
         def positive(zp):
-            p = special.gammainc(N, zp)
-            out = np.zeros_like(zp)
-            ok = p > 0.0
-            out[ok] = K * np.exp(
-                (K - 1) * np.log(p[ok]) + (N - 1) * np.log(zp[ok]) - zp[ok] - lg
-            )
-            return out
+            # P(N, z) underflows to 0 for tiny z when N >= 2. Flooring it at
+            # the least subnormal keeps log P finite: for K >= 2 the density
+            # still underflows to 0 there, and for K = 1 it does not use P.
+            p = np.fmax(special.gammainc(N, zp), math.ulp(0.0))
+            return K * np.exp((K - 1) * np.log(p) + (N - 1) * np.log(zp) - zp - lg)
 
         return _as_float_or_array(z, positive, at_zero=1.0 if N == 1 and K == 1 else 0.0)
 

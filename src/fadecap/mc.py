@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import FadingDistribution
-from .schemes import Scheme, ctci_dmax, oa_threshold, tci_dmax
+from .schemes import Scheme, _check_power, ctci_dmax, oa_threshold, tci_dmax
 
 SHARD_SIZE = 1 << 16
 
@@ -81,8 +81,7 @@ def mc_capacity(
     taken from the deterministic solver and treated as given.
     """
     scheme = Scheme(scheme)
-    if not S > 0.0:
-        raise ValueError(f"average power must be positive, got {S}")
+    _check_power(S)
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     if scheme is Scheme.AWGN:

@@ -67,8 +67,8 @@ class CapacityResult:
 
 
 def _check_power(S: float):
-    if not S > 0.0:
-        raise ValueError(f"average power must be positive, got {S}")
+    if not 0.0 < S < math.inf:
+        raise ValueError(f"average power must be finite and positive, got {S}")
 
 
 def _clip_capacity(value: float) -> float:
@@ -237,8 +237,8 @@ def tci_optimize(
 
 
 def _check_ctci_threshold(z_t: float):
-    if z_t < 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {z_t}")
+    if not 0.0 <= z_t < math.inf:
+        raise ValueError(f"threshold must be finite and nonnegative, got {z_t}")
 
 
 def ctci_dmax(dist: FadingDistribution, z_t: float) -> float:

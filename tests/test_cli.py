@@ -85,6 +85,19 @@ class TestCapacityCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "scheme, snr_db",
+        [("ra", "inf"), ("oa", "inf"), ("ctci:zt=nan", "0"), ("ctci:zt=inf", "0")],
+    )
+    def test_non_finite_input_exits_2(self, capsys, scheme, snr_db):
+        code, out, err = run(
+            capsys,
+            ["capacity", "--dist", "gamma:N=2", "--scheme", scheme, "--snr-db", snr_db],
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_tci_without_threshold_exits_2(self, capsys):
         code, _, _ = run(
             capsys, ["capacity", "--dist", "gamma:N=2", "--scheme", "tci", "--snr-db", "0"]

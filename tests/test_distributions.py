@@ -2,12 +2,16 @@
 samplers and the tabulated/CSV path."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from fadecap.distributions import (
     DistributionSpec,
+    FadingDistribution,
+    _validate,
     load_tabulated_csv,
     make_frechet,
     make_gamma_diversity,
@@ -91,6 +95,16 @@ class TestMaxExponential:
         with pytest.raises(ValueError):
             make_max_exponential(0)
 
+    def test_no_cancellation_near_zero(self):
+        # 1 - e^(-z) formed from exp(-z) is 0 below z = 1.1e-16 and loses
+        # digits well above it
+        with mpmath.workdps(40):
+            exact = float((-mpmath.expm1(-mpmath.mpf("1e-12"))) ** 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert make_max_exponential(1).pdf(1e-20) == pytest.approx(1.0, rel=1e-15)
+            assert make_max_exponential(4).cdf(1e-12) == pytest.approx(exact, rel=1e-12)
+
 
 class TestFrechet:
     def test_inverse_mean_alpha2(self):
@@ -123,6 +137,11 @@ class TestFrechet:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
             make_frechet(0.0)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            make_frechet(alpha)
 
 
 class TestMisoMultiuser:
@@ -284,6 +303,24 @@ class TestSharedInvariants:
             assert s.cdf(z) == pytest.approx(d.cdf(1.3), rel=1e-12)
             assert s.pdf(z) * c == pytest.approx(d.pdf(1.3), rel=1e-12)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan, 0.0, -2.0])
+    def test_scale_must_be_finite_and_positive(self, c):
+        with pytest.raises(ValueError, match="scale"):
+            make_gamma_diversity(2).scaled(c)
+
+    def test_validation_rejects_nan_mass_and_mean(self):
+        def law(expect_impl):
+            return FadingDistribution(
+                name="nan-law", pdf=None, cdf=lambda z: 0.0, mean=1.0,
+                inverse_mean=1.0, log_mean=0.0, support_sup=1.0,
+                diversity_order=1.0, expect_impl=expect_impl,
+            )
+
+        with pytest.raises(ValueError, match="mass"):
+            _validate(law(lambda integrand, lo, hi: math.nan))
+        with pytest.raises(ValueError, match="mean"):
+            _validate(law(lambda integrand, lo, hi: 1.0 if integrand is None else math.nan))
+
     def test_scaled_sampler_and_draws(self):
         d = make_gamma_diversity(2)
         s = d.scaled(5.0)
@@ -307,6 +344,52 @@ class TestDistributionSpec:
         with pytest.raises(ValueError):
             DistributionSpec("weibull", {"k": 1.0}).build()
 
+    def test_infinite_scale_rejected(self):
+        with pytest.raises(ValueError, match="scale"):
+            DistributionSpec("gamma_diversity", {"N": 2, "scale": math.inf}).build()
+
     def test_unused_parameter_rejected(self):
         with pytest.raises(ValueError):
             DistributionSpec("gamma_diversity", {"N": 2, "K": 3}).build()
+
+
+# Scalar arguments take a direct path through _as_float_or_array; an
+# array argument takes the masked array path. Both must give one law.
+AGREEMENT_POINTS = np.concatenate((
+    [-1.0, 0.0, 5e-324, 1e-300, 1e-20, 1e-8],
+    np.geomspace(1e-6, 80.0, 2000),
+    [700.0, math.nan],
+))
+
+
+def agreement_laws():
+    grid = np.linspace(0.0, 8.0, 25)
+    return [
+        make_gamma_diversity(1),
+        make_gamma_diversity(2),
+        make_max_exponential(1),
+        make_max_exponential(4),
+        make_frechet(2.0, 4),
+        make_frechet(0.8),
+        make_miso_multiuser(1, 1),
+        make_miso_multiuser(2, 2),
+        make_miso_multiuser(3, 1),
+        make_gamma_diversity(3).scaled(4.0),
+        make_tabulated(np.column_stack([grid, grid * np.exp(-grid)])),
+    ]
+
+
+@pytest.mark.parametrize("law", agreement_laws(), ids=lambda d: d.name)
+@pytest.mark.parametrize("fn", ["pdf", "cdf"])
+def test_scalar_path_matches_array_path(law, fn):
+    # 1e-12 relative: Frechet's exp(-K z^-alpha) turns a 1-ulp difference
+    # in z^-alpha into ~1e-13; the other laws agree to a few ulps
+    f = getattr(law, fn)
+    batch = f(AGREEMENT_POINTS)
+    assert batch.shape == AGREEMENT_POINTS.shape
+    for z, expected in zip(AGREEMENT_POINTS, batch):
+        got = f(float(z))
+        assert isinstance(got, float), (z, type(got))
+        assert math.isfinite(got) == math.isfinite(expected), (z, got, expected)
+        if math.isfinite(expected):
+            assert abs(got - expected) <= 1e-12 * abs(expected), (z, got, expected)

@@ -120,3 +120,8 @@ class TestDegenerateAndErrors:
     def test_bad_power_rejected(self, gamma2):
         with pytest.raises(ValueError):
             mc_capacity(gamma2, Scheme.RA, -1.0, n_samples=100)
+
+    @pytest.mark.parametrize("S", [math.inf, math.nan])
+    def test_non_finite_power_rejected(self, gamma2, S):
+        with pytest.raises(ValueError, match="average power"):
+            mc_capacity(gamma2, Scheme.RA, S, n_samples=100)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import tanhsinh
 
 from fadecap import schemes
 from fadecap.distributions import (
@@ -291,6 +292,88 @@ class TestCtci:
     def test_rejects_negative_threshold(self, gamma2):
         with pytest.raises(ValueError):
             ctci_capacity(gamma2, 1.0, -0.5)
+
+    @pytest.mark.parametrize("z_t", [math.inf, math.nan])
+    def test_rejects_non_finite_threshold(self, gamma2, z_t):
+        with pytest.raises(ValueError, match="threshold"):
+            ctci_capacity(gamma2, 1.0, z_t)
+        with pytest.raises(ValueError, match="threshold"):
+            ctci_dmax(gamma2, z_t)
+
+
+@pytest.mark.parametrize("S", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        awgn_capacity,
+        oa_capacity,
+        ra_capacity,
+        ci_capacity,
+        lambda d, S: tci_capacity(d, S, 1.0),
+        lambda d, S: ctci_capacity(d, S, 1.0),
+        tci_optimize,
+    ],
+    ids=["awgn", "oa", "ra", "ci", "tci", "ctci", "tci_opt"],
+)
+def test_non_finite_power_rejected(gamma2, evaluate, S):
+    with pytest.raises(ValueError, match="average power"):
+        evaluate(gamma2, S)
+
+
+def _tanhsinh(f, a, b):
+    res = tanhsinh(f, a, b, atol=0.0, rtol=1e-13)
+    assert res.success, (a, b)
+    return float(res.integral)
+
+
+def _audited_power(dist, scheme, z_t, d_max, breaks=()):
+    """E[D(z)] by tanh-sinh over each piece between ``breaks`` and z_t.
+
+    D is d_max z_t / z above the cutoff; below it, 0 for TCI and d_max
+    for CTCI. The density is evaluated on arrays, and no tail functional
+    of the law is used.
+    """
+    edges = sorted({0.0, z_t, dist.support_sup, *breaks})
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        if a >= z_t:
+            total += _tanhsinh(lambda z: d_max * z_t / z * dist.pdf(z), a, b)
+        elif scheme is Scheme.CTCI:
+            total += _tanhsinh(lambda z: d_max * dist.pdf(z), a, b)
+    return total
+
+
+class TestIndependentPowerAudit:
+    """E[D] = 1 for the truncated schemes, integrated by another rule.
+
+    ``power_constraint_residual`` for TCI and CTCI reuses the quadrature
+    that set d_max, so it only tests rounding.
+    """
+
+    TAB_GRID = np.linspace(0.0, 8.0, 25)
+
+    @pytest.fixture(
+        scope="class",
+        params=["gamma2", "miso22", "maxexp4", "gamma3x4", "tab"],
+    )
+    def law(self, request):
+        z = self.TAB_GRID
+        return {
+            "gamma2": lambda: (make_gamma_diversity(2), ()),
+            "miso22": lambda: (make_miso_multiuser(2, 2), ()),
+            "maxexp4": lambda: (make_max_exponential(4), ()),
+            "gamma3x4": lambda: (make_gamma_diversity(3).scaled(4.0), ()),
+            "tab": lambda: (make_tabulated(np.column_stack([z, z * np.exp(-z)])), tuple(z)),
+        }[request.param]()
+
+    @pytest.mark.parametrize("z_t", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("scheme", [Scheme.TCI, Scheme.CTCI])
+    def test_average_power_is_one(self, law, scheme, z_t):
+        dist, breaks = law
+        fn = tci_capacity if scheme is Scheme.TCI else ctci_capacity
+        d_max = fn(dist, 1.0, z_t).d_max
+        power = _audited_power(dist, scheme, z_t, d_max, breaks)
+        assert power == pytest.approx(1.0, abs=1e-9), dist.name
 
 
 class TestCrossSchemeInvariants:
