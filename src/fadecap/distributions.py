@@ -33,7 +33,15 @@ no array allocation, which is the path adaptive quadrature takes one
 point at a time; an array argument returns an array of the same shape.
 
 Distributions are immutable after construction; samplers take an
-explicit numpy Generator so callers own all random state.
+explicit numpy Generator so callers own all random state. A sampler
+``sampler(rng, n)`` returns a fresh array of n gains, and for a given
+Generator its samples are fixed by the C-order block it draws: the
+exponential-sum laws draw ``standard_exponential((n, K, N))`` and sum
+over N, then take the max over K. Axes shorter than 8 are reduced with
+strided slices in index order, which gives the bits of numpy's own
+left-to-right reduction there; longer axes use numpy's reduction, which
+sums pairwise. The inverse-CDF samplers transform their one uniform
+draw in place.
 """
 
 from __future__ import annotations
@@ -67,30 +75,73 @@ DISTRIBUTION_KINDS = (
 )
 
 
+def _limit_at_inf(compute_pos) -> float:
+    """The value a density or CDF closed form takes at z = +inf.
+
+    CDFs evaluate to 1 there. A log-space density such as
+    exp((N-1) log z - z) meets inf - inf and gives NaN, where the
+    density's limit is 0.
+    """
+    with np.errstate(invalid="ignore"):
+        value = float(compute_pos(np.float64(math.inf)))
+    return 0.0 if math.isnan(value) else value
+
+
 def _as_float_or_array(z, compute_pos, at_zero: float = 0.0):
-    """Evaluate ``compute_pos`` on the z > 0 entries, filling the rest.
+    """Evaluate ``compute_pos`` on the finite z > 0 entries, filling the rest.
 
     Accepts scalars or arrays; negative and NaN arguments map to 0,
     z == 0 maps to ``at_zero`` (the continuous limit of the density
-    there). A float argument (a Python float, or ``np.float64``) takes a
-    direct path with no array allocation and returns a Python float:
-    quadrature calls densities one point at a time, so this path sets
-    the cost of every capacity integral. ``compute_pos`` therefore gets
-    either an array or an ``np.float64`` scalar and must accept both.
+    there) and z == +inf to the function's limit there (see
+    ``_limit_at_inf``). A float argument (a Python float, or
+    ``np.float64``) takes a direct path with no array allocation and
+    returns a Python float: quadrature calls densities one point at a
+    time, so this path sets the cost of every capacity integral.
+    ``compute_pos`` therefore gets either an array or an ``np.float64``
+    scalar and must accept both.
     """
     if isinstance(z, float):
         if z > 0.0:
-            return float(compute_pos(np.float64(z)))
+            if z < math.inf:
+                return float(compute_pos(np.float64(z)))
+            return _limit_at_inf(compute_pos)
         return at_zero if z == 0.0 else 0.0
     arr = np.asarray(z, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     out = np.zeros(arr.shape, dtype=float)
-    pos = arr > 0.0
+    pos = (arr > 0.0) & (arr < math.inf)
     if pos.any():
         out[pos] = compute_pos(arr[pos])
     out[arr == 0.0] = at_zero
+    at_inf = arr == math.inf
+    if at_inf.any():
+        out[at_inf] = _limit_at_inf(compute_pos)
     return float(out[0]) if scalar else out
+
+
+# numpy sums an axis of fewer than 8 entries left to right and a longer one
+# pairwise. Below this width a loop over strided slices gives the same bits
+# without numpy's per-row overhead on a short axis. From it up only numpy's
+# own sum reproduces its bits, and its reductions (sum and max) are the
+# faster ones there.
+_SLICE_REDUCE_BELOW = 8
+
+
+def _reduce_last_axis(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1)``, bit for bit, for ``np.add`` or ``np.maximum``.
+
+    Short axes are reduced by combining the slices ``a[..., i]`` in index
+    order, so a sampler's output for a given Generator is the one its
+    C-order draw and numpy's reduction define.
+    """
+    width = a.shape[-1]
+    if not 2 <= width < _SLICE_REDUCE_BELOW:
+        return ufunc.reduce(a, axis=-1)
+    out = ufunc(a[..., 0], a[..., 1])
+    for i in range(2, width):
+        ufunc(out, a[..., i], out=out)
+    return out
 
 
 @dataclass(frozen=True, repr=False)
@@ -167,6 +218,13 @@ class FadingDistribution:
                 if integrand is None:
                     return base.expect_impl(None, lo / c, hi / c)
                 return base.expect_impl(lambda w: integrand(c * w), lo / c, hi / c)
+
+        def scaled_sampler(rng, n):
+            # every sampler returns a fresh array, so it is scaled in place
+            z = base.sampler(rng, n)
+            z *= c
+            return z
+
         return FadingDistribution(
             name=f"scaled({c})*{base.name}",
             pdf=lambda z: base.pdf(np.asarray(z, dtype=float) / c) / c,
@@ -177,7 +235,7 @@ class FadingDistribution:
             support_sup=c * base.support_sup,
             diversity_order=base.diversity_order,
             quad_knots=tuple(c * k for k in base.quad_knots),
-            sampler=lambda rng, n: c * base.sampler(rng, n),
+            sampler=scaled_sampler,
             expect_impl=scaled_expect,
         )
 
@@ -199,9 +257,13 @@ def _validate(dist: FadingDistribution) -> FadingDistribution:
     return dist
 
 
-def _check_positive_int(value, name: str) -> int:
-    if isinstance(value, bool) or value != int(value) or int(value) < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_positive_int(value, name: str, minimum: int = 1) -> int:
+    try:
+        valid = not isinstance(value, bool) and value == int(value) and int(value) >= minimum
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
 
@@ -234,7 +296,7 @@ def make_gamma_diversity(N) -> FadingDistribution:
         support_sup=math.inf,
         diversity_order=float(N),
         quad_knots=(0.5 * N, float(N), 2.0 * N + 2.0),
-        sampler=lambda rng, n: rng.standard_exponential((n, N)).sum(axis=1),
+        sampler=lambda rng, n: _reduce_last_axis(np.add, rng.standard_exponential((n, N))),
     )
     return _validate(dist)
 
@@ -282,8 +344,13 @@ def make_max_exponential(K) -> FadingDistribution:
         ).value
 
     def sampler(rng, n):
-        u = np.clip(rng.random(n), 1e-300, 1.0 - 1e-16)
-        return -np.log1p(-u ** (1.0 / K))
+        # -log1p(-u^(1/K)), worked in place on the one draw
+        u = rng.random(n)
+        np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
+        u **= 1.0 / K
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        return np.negative(u, out=u)
 
     dist = FadingDistribution(
         name=f"max_exponential(K={K})",
@@ -332,8 +399,14 @@ def make_frechet(alpha: float, K=1) -> FadingDistribution:
     mean = scale * float(special.gamma(1.0 - 1.0 / alpha)) if alpha > 1.0 else math.inf
 
     def sampler(rng, n):
-        u = np.clip(rng.random(n), 1e-300, 1.0 - 1e-16)
-        return (-np.log(u) / K) ** (-1.0 / alpha)
+        # (-log(u) / K)^(-1/alpha), worked in place on the one draw
+        u = rng.random(n)
+        np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
+        np.log(u, out=u)
+        np.negative(u, out=u)
+        u /= K
+        u **= -1.0 / alpha
+        return u
 
     dist = FadingDistribution(
         name=f"frechet(alpha={alpha},K={K})",
@@ -400,7 +473,9 @@ def make_miso_multiuser(N, K) -> FadingDistribution:
         support_sup=math.inf,
         diversity_order=float(N * K),
         quad_knots=knots,
-        sampler=lambda rng, n: rng.standard_exponential((n, K, N)).sum(axis=2).max(axis=1),
+        sampler=lambda rng, n: _reduce_last_axis(
+            np.maximum, _reduce_last_axis(np.add, rng.standard_exponential((n, K, N)))
+        ),
     )
     return _validate(dist)
 

@@ -9,6 +9,13 @@ Sampling is sharded: shard i draws from a counter-based Philox stream
 keyed by (seed, i), and shards are merged with a streaming
 mean/variance combine. Estimates are bit-stable for a given
 (seed, n_samples) and do not depend on how shards are scheduled.
+
+A law's samples for a given Generator are fixed by the C-order block its
+sampler draws and by how that block is reduced (see the samplers in
+``distributions``). The samplers reduce short axes with strided slices
+that reproduce numpy's own axis reductions bit for bit, so an estimate
+is the same as with ``standard_exponential((n, K, N)).sum(axis=2)
+.max(axis=1)`` and its kin; a test pins every sampler to those formulas.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import FadingDistribution
+from .distributions import FadingDistribution, _check_positive_int
 from .schemes import Scheme, _check_power, ctci_dmax, oa_threshold, tci_dmax
 
 SHARD_SIZE = 1 << 16
@@ -82,8 +89,7 @@ def mc_capacity(
     """
     scheme = Scheme(scheme)
     _check_power(S)
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
+    n_samples = _check_positive_int(n_samples, "n_samples", minimum=2)
     if scheme is Scheme.AWGN:
         raise ValueError("the AWGN reference is deterministic; nothing to sample")
 

@@ -277,6 +277,47 @@ class TestMcCommand:
         assert record["power_mean"] == 1.0
 
 
+# Recorded from `fadecap mc` with samplers that reduce through numpy's
+# `.sum(axis=...)` and `.max(axis=...)`. A change to a law's sample stream
+# shows up here; so does one to the OA cutoff solve or the CTCI d_max.
+MC_RECORDS = [
+    (
+        ["--dist", "miso:N=2,K=2", "--scheme", "oa"],
+        '{"scheme": "oa", '
+        '"snr_db": 10.0, '
+        '"mean_nats": 3.2176407690169753, '
+        '"mean_bits": 4.642074380822941, '
+        '"std_error_nats": 0.0012551706668451647, '
+        '"n_samples": 200000, '
+        '"seed": 7, '
+        '"power_mean": 1.0000033708679006, '
+        '"power_std_error": 8.221999571781409e-05, '
+        '"degenerate": false}',
+    ),
+    (
+        ["--dist", "gamma:N=2", "--scheme", "ctci", "--zt", "1"],
+        '{"scheme": "ctci", '
+        '"snr_db": 10.0, '
+        '"mean_nats": 2.6767612534632828, '
+        '"mean_bits": 3.861750186015204, '
+        '"std_error_nats": 0.0007667490779078183, '
+        '"n_samples": 200000, '
+        '"seed": 7, '
+        '"power_mean": 0.9996899648199004, '
+        '"power_std_error": 0.0010240869057636802, '
+        '"degenerate": false}',
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, expected", MC_RECORDS, ids=["miso22-oa", "gamma2-ctci"])
+def test_mc_output_is_byte_identical(capsys, flags, expected):
+    argv = ["mc", *flags, "--snr-db", "10", "--samples", "200000", "--seed", "7"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == expected + "\n"
+
+
 class TestVerifyCommand:
     def test_fast_level_passes(self, capsys):
         code, out, _ = run(capsys, ["verify", "--dist", "miso:N=2,K=2", "--level", "fast"])

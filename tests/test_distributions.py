@@ -67,6 +67,11 @@ class TestGammaDiversity:
         with pytest.raises(ValueError):
             make_gamma_diversity(2.5)
 
+    @pytest.mark.parametrize("N", [True, math.inf, math.nan, None])
+    def test_rejects_non_integer_n_with_value_error(self, N):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            make_gamma_diversity(N)
+
     def test_pdf_stable_for_large_n(self):
         d = make_gamma_diversity(64)
         assert d.pdf(64.0) > 0.0
@@ -393,3 +398,85 @@ def test_scalar_path_matches_array_path(law, fn):
         assert math.isfinite(got) == math.isfinite(expected), (z, got, expected)
         if math.isfinite(expected):
             assert abs(got - expected) <= 1e-12 * abs(expected), (z, got, expected)
+
+
+# The samplers reduce short axes with strided slices; these are the plain
+# numpy formulas they replace, and the stream each law draws is pinned to
+# them bit for bit. Axes of 8 or more entries cross into numpy's pairwise
+# sum, so the cases straddle that width.
+PIN_SAMPLES = 70_001
+
+
+def _pin_rng():
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(20111)))
+
+
+def _clipped_uniform(rng, n):
+    return np.clip(rng.random(n), 1e-300, 1.0 - 1e-16)
+
+
+def stream_pinning_cases():
+    cases = []
+    for N in (1, 2, 3, 7, 8, 9, 16):
+        cases.append((
+            make_gamma_diversity(N),
+            lambda rng, n, N=N: rng.standard_exponential((n, N)).sum(axis=1),
+        ))
+    for N, K in ((1, 1), (2, 2), (7, 2), (8, 2), (2, 8), (4, 16), (2, 64)):
+        cases.append((
+            make_miso_multiuser(N, K),
+            lambda rng, n, N=N, K=K: (
+                rng.standard_exponential((n, K, N)).sum(axis=2).max(axis=1)
+            ),
+        ))
+    for K in (1, 4):
+        cases.append((
+            make_max_exponential(K),
+            lambda rng, n, K=K: -np.log1p(-_clipped_uniform(rng, n) ** (1.0 / K)),
+        ))
+    cases.append((
+        make_frechet(2.0, 4),
+        lambda rng, n: (-np.log(_clipped_uniform(rng, n)) / 4) ** (-1.0 / 2.0),
+    ))
+    cases.append((
+        make_gamma_diversity(3).scaled(2.5),
+        lambda rng, n: 2.5 * rng.standard_exponential((n, 3)).sum(axis=1),
+    ))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "law, reference", stream_pinning_cases(), ids=lambda c: getattr(c, "name", "ref")
+)
+def test_sampler_stream_is_pinned_to_numpy_formula(law, reference):
+    got = law.sampler(_pin_rng(), PIN_SAMPLES)
+    expected = reference(_pin_rng(), PIN_SAMPLES)
+    assert got.shape == (PIN_SAMPLES,)
+    assert np.array_equal(got, expected), law.name
+
+
+def infinity_laws():
+    grid = np.linspace(0.0, 8.0, 25)
+    return [
+        make_gamma_diversity(1),
+        make_gamma_diversity(3),
+        make_max_exponential(4),
+        make_frechet(2.0, 4),
+        make_miso_multiuser(1, 1),
+        make_miso_multiuser(2, 2),
+        make_tabulated(np.column_stack([grid, grid * np.exp(-grid)])),
+        make_gamma_diversity(2).scaled(3.0),
+    ]
+
+
+@pytest.mark.parametrize("law", infinity_laws(), ids=lambda d: d.name)
+def test_limits_at_infinity(law):
+    # the density's limit is 0 and the CDF's is 1, on the scalar and the
+    # array path alike; a NaN or a RuntimeWarning on the way fails
+    assert law.pdf(math.inf) == 0.0
+    assert law.cdf(math.inf) == 1.0
+    z = np.array([0.5, math.inf, 2.0, math.inf])
+    pdf, cdf = law.pdf(z), law.cdf(z)
+    assert np.array_equal(pdf[[1, 3]], [0.0, 0.0])
+    assert np.array_equal(cdf[[1, 3]], [1.0, 1.0])
+    assert np.all(pdf[[0, 2]] > 0.0) and np.all(cdf[[0, 2]] < 1.0)

@@ -12,8 +12,8 @@ from fadecap.distributions import (
     make_miso_multiuser,
     make_tabulated,
 )
-from fadecap.mc import McEstimate, mc_capacity
-from fadecap.schemes import Scheme, capacity, ra_capacity
+from fadecap.mc import SHARD_SIZE, McEstimate, _shard_rng, mc_capacity
+from fadecap.schemes import Scheme, capacity, oa_threshold, ra_capacity
 
 
 def spike_at(center, width=1e-4):
@@ -55,6 +55,34 @@ class TestReproducibility:
         reported = np.mean([e.std_error for e in estimates])
         ratio = np.std(means, ddof=1) / reported
         assert 0.7 <= ratio <= 1.4
+
+
+class TestShardedMerge:
+    @pytest.mark.parametrize("scheme", [Scheme.RA, Scheme.OA])
+    def test_merge_matches_direct_statistics(self, scheme):
+        # rebuild the per-shard draws and compare the streaming merge with
+        # the mean and sample deviation of all samples at once
+        miso = make_miso_multiuser(2, 2)
+        S, seed = 10.0, 4
+        n = 3 * SHARD_SIZE + 17
+        est = mc_capacity(miso, scheme, S, n_samples=n, seed=seed)
+        sizes = [SHARD_SIZE] * 3 + [17]
+        z = np.concatenate([miso.sampler(_shard_rng(seed, i), m) for i, m in enumerate(sizes)])
+        if scheme is Scheme.RA:
+            rate, power = np.log1p(S * z), np.ones_like(z)
+        else:
+            z_t = oa_threshold(miso, S).z_t
+            zc = np.maximum(z, z_t)
+            rate = np.where(z > z_t, np.log(zc / z_t), 0.0)
+            power = np.where(z > z_t, (1.0 / z_t - 1.0 / zc) / S, 0.0)
+        def within(rel, expected):
+            return pytest.approx(expected, rel=rel, abs=0.0)
+
+        root_n = math.sqrt(n)
+        assert est.mean_nats == within(1e-14, np.mean(rate))
+        assert est.power_mean == within(1e-14, np.mean(power))
+        assert est.std_error == within(1e-10, np.std(rate, ddof=1) / root_n)
+        assert est.power_std_error == within(1e-10, np.std(power, ddof=1) / root_n)
 
 
 class TestAgainstQuadrature:
@@ -125,3 +153,13 @@ class TestDegenerateAndErrors:
     def test_non_finite_power_rejected(self, gamma2, S):
         with pytest.raises(ValueError, match="average power"):
             mc_capacity(gamma2, Scheme.RA, S, n_samples=100)
+
+    def test_integral_float_sample_count_is_accepted(self, gamma2):
+        est = mc_capacity(gamma2, Scheme.RA, 1.0, n_samples=1e5, seed=1)
+        assert est == mc_capacity(gamma2, Scheme.RA, 1.0, n_samples=100_000, seed=1)
+        assert type(est.n_samples) is int
+
+    @pytest.mark.parametrize("n", [2.5, True, 1, 0, -5, math.inf, math.nan])
+    def test_bad_sample_count_rejected(self, gamma2, n):
+        with pytest.raises(ValueError, match="n_samples"):
+            mc_capacity(gamma2, Scheme.RA, 1.0, n_samples=n)
