@@ -121,11 +121,12 @@ def _as_float_or_array(z, compute_pos, at_zero: float = 0.0):
 
 
 # numpy sums an axis of fewer than 8 entries left to right and a longer one
-# pairwise. Below this width a loop over strided slices gives the same bits
-# without numpy's per-row overhead on a short axis. From it up only numpy's
-# own sum reproduces its bits, and its reductions (sum and max) are the
-# faster ones there.
-_SLICE_REDUCE_BELOW = 8
+# pairwise. Below that width a loop over strided slices gives the same bits
+# without numpy's per-row overhead on a short axis; from it up only numpy's
+# own sum reproduces its bits, and is the faster one. A max is exact in any
+# order, so its slices give numpy's bits at every width; they stay the
+# faster reduction below 16 entries.
+_SLICE_REDUCE_BELOW = {np.add: 8, np.maximum: 16}
 
 
 def _reduce_last_axis(ufunc, a: np.ndarray) -> np.ndarray:
@@ -136,7 +137,7 @@ def _reduce_last_axis(ufunc, a: np.ndarray) -> np.ndarray:
     C-order draw and numpy's reduction define.
     """
     width = a.shape[-1]
-    if not 2 <= width < _SLICE_REDUCE_BELOW:
+    if not 2 <= width < _SLICE_REDUCE_BELOW[ufunc]:
         return ufunc.reduce(a, axis=-1)
     out = ufunc(a[..., 0], a[..., 1])
     for i in range(2, width):

@@ -1,15 +1,17 @@
 """Shared numerical kernels.
 
 Adaptive quadrature on finite and semi-infinite intervals, bracketed
-monotone root finding, unimodal 1-D maximization, and the special
+monotone root finding (Brent's method, or safeguarded Newton when the
+derivative is supplied), unimodal 1-D maximization, and the special
 functions (Gamma, log-Gamma, digamma, regularized lower incomplete
 Gamma) used by the fading-gain models.
 
 The semi-infinite case maps [a, inf) onto [0, 1) with z = a + t/(1-t),
 so exponential, power-law and extreme-value tails are all handled by the
-same adaptive rule. Quadrature, root finding and maximization are
-delegated to scipy (QUADPACK, Brent's root finder and bounded Brent
-minimization) behind the interfaces below.
+same adaptive rule. Quadrature, derivative-free root finding and
+maximization are delegated to scipy (QUADPACK, Brent's root finder and
+bounded Brent minimization) behind the interfaces below; the Newton
+iteration is implemented here.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ EULER_MASCHERONI = 0.5772156649015329
 # Absolute floor below which quadrature error is not chased further.
 ABS_TOL_FLOOR = 1e-14
 DEFAULT_REL_TOL = 1e-10
+
+_EPS = float(np.finfo(float).eps)
 
 _QUAD_LIMIT = 250
 
@@ -146,12 +150,21 @@ def find_root_monotone(
     g: Callable[[float], float],
     bracket: Bracket,
     tol: float = 1e-12,
+    dg: Callable[[float], float] = None,
 ) -> float:
     """Root of a monotone g with a sign change on the bracket.
 
-    Brent's method with bisection safeguard: convergence is guaranteed,
-    and the final bracket width is at most ``tol`` (plus a few ulps of
-    the root itself).
+    Without ``dg``, Brent's method with bisection safeguard: convergence
+    is guaranteed, and the final bracket width is at most ``tol`` (plus a
+    few ulps of the root itself).
+
+    With the derivative ``dg``, safeguarded Newton started at
+    ``bracket.lo``: a Newton step is taken when it lands strictly inside
+    the current sign-change bracket, and the bracket is bisected
+    otherwise: also where g is not finite, or ``dg`` is zero, infinite,
+    NaN or of the wrong sign for g's direction. It returns a point at
+    which g was evaluated, once its Newton step or the bracket is at
+    most ``tol`` (plus a few ulps) wide.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -165,8 +178,37 @@ def find_root_monotone(
         raise BracketError(
             f"no sign change on [{bracket.lo}, {bracket.hi}]: g(lo)={g_lo}, g(hi)={g_hi}"
         )
-    root = optimize.brentq(g, bracket.lo, bracket.hi, xtol=tol, maxiter=200)
-    return float(root)
+    if dg is None:
+        root = optimize.brentq(g, bracket.lo, bracket.hi, xtol=tol, maxiter=200)
+        return float(root)
+    return _safeguarded_newton(g, dg, bracket.lo, g_lo, bracket.hi, tol)
+
+
+def _safeguarded_newton(g, dg, lo: float, g_lo: float, hi: float, tol: float) -> float:
+    # g(lo) and g(hi) have opposite signs, so g's monotone direction is known
+    sign = 1.0 if g_lo < 0.0 else -1.0
+    x, gx = lo, g_lo
+    for _ in range(200):
+        xtol = tol + 4.0 * _EPS * abs(x)
+        if hi - lo <= xtol:
+            return x
+        slope = dg(x)
+        step = None
+        if math.isfinite(gx) and 0.0 < sign * slope < math.inf:
+            step = gx / slope
+            if abs(step) <= xtol:
+                return x
+            if not lo < x - step < hi:
+                step = None
+        x = x - step if step is not None else 0.5 * (lo + hi)
+        gx = g(x)
+        if gx == 0.0:
+            return x
+        if sign * gx < 0.0:
+            lo = x
+        else:
+            hi = x
+    raise RuntimeError("Newton iteration did not converge in 200 steps")
 
 
 def maximize_unimodal(

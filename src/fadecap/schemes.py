@@ -92,29 +92,51 @@ def _oa_power_integral(dist: FadingDistribution, S: float, z_t: float) -> float:
 def oa_threshold(dist: FadingDistribution, S: float) -> ThresholdSolution:
     """Water-filling cutoff from the average power constraint.
 
-    The constraint LHS decreases monotonically in the cutoff and the
-    solution lies strictly below 1/S (and below the support top), which
-    gives a rigorous bracket for safeguarded root finding. Each cutoff
-    is integrated once, though the root finder revisits its points.
+    With P(z) = E[(1/z - 1/Z)+], the cutoff solves P(z_t) = S. It is found
+    by safeguarded Newton on psi(u) = log P(e^u) - log S in u = log z_t,
+    whose slope -(1 - F(z_t)) / (z_t P(z_t)) needs only the CDF and the P
+    just integrated. psi decreases in u; it is negative at the upper end
+    min(1/S, support top) and, by Jensen's inequality P(z) >= 1/z - E[1/Z],
+    non-negative at the lower end 1/(S + E[1/Z]). Where E[1/Z] diverges the
+    lower end is found by walking down from a quarter of the upper end.
+    Each cutoff is integrated once, though the solver revisits its points.
     """
     _check_power(S)
 
     @functools.cache
-    def g(z_t: float) -> float:
-        return _oa_power_integral(dist, S, z_t) - 1.0
+    def power(u: float) -> float:
+        return _oa_power_integral(dist, S, math.exp(u))
 
-    hi = min(1.0 / S, dist.support_sup)
-    g_hi = g(hi)
-    if g_hi > 0.0:
+    def psi(u: float) -> float:
+        p = power(u)
+        return math.log(p) if p > 0.0 else -math.inf
+
+    def dpsi(u: float) -> float:
+        z_t, p = math.exp(u), power(u)
+        return -(1.0 - float(dist.cdf(z_t))) / (z_t * S * p) if p > 0.0 else math.nan
+
+    u_hi = math.log(min(1.0 / S, dist.support_sup))
+    if psi(u_hi) > 0.0:
         raise RuntimeError("power constraint not bracketed below its upper bound")
-    lo = hi / 4.0
-    while g(lo) <= 0.0:
-        hi = lo
-        lo /= 32.0
-        if lo < 1e-300:
-            raise RuntimeError("failed to bracket the water-filling cutoff")
-    root = find_root_monotone(g, Bracket(lo, hi), tol=1e-15)
-    return ThresholdSolution(z_t=root, residual=g(root), iterations=g.cache_info().misses)
+    if dist.inverse_mean_finite:
+        u_lo = -math.log(S + dist.inverse_mean)
+    else:
+        u_lo = u_hi - math.log(4.0)
+        while psi(u_lo) <= 0.0:
+            u_hi = u_lo
+            u_lo -= math.log(32.0)
+            if u_lo < math.log(1e-300):
+                raise RuntimeError("failed to bracket the water-filling cutoff")
+    if psi(u_lo) > 0.0:
+        u_t = find_root_monotone(psi, Bracket(u_lo, u_hi), tol=1e-15, dg=dpsi)
+    else:
+        # psi >= 0 at the Jensen end exactly; where it reads 0 or below
+        # (high SNR puts the cutoff within an ulp of that end), the end is
+        # the cutoff to within that rounding
+        u_t = u_lo
+    return ThresholdSolution(
+        z_t=math.exp(u_t), residual=power(u_t) - 1.0, iterations=power.cache_info().misses
+    )
 
 
 def oa_capacity(dist: FadingDistribution, S: float) -> CapacityResult:

@@ -280,17 +280,20 @@ class TestMcCommand:
 # Recorded from `fadecap mc` with samplers that reduce through numpy's
 # `.sum(axis=...)` and `.max(axis=...)`. A change to a law's sample stream
 # shows up here; so does one to the OA cutoff solve or the CTCI d_max.
+# The OA record was taken again when the cutoff moved to Newton in log z:
+# its cutoff at 10 dB, 0.09523868923482734, is 6.4e-17 relative from the
+# 30-digit oracle (Brent's, ...748, was 1.4e-15 off).
 MC_RECORDS = [
     (
         ["--dist", "miso:N=2,K=2", "--scheme", "oa"],
         '{"scheme": "oa", '
         '"snr_db": 10.0, '
-        '"mean_nats": 3.2176407690169753, '
-        '"mean_bits": 4.642074380822941, '
+        '"mean_nats": 3.2176407690169766, '
+        '"mean_bits": 4.642074380822943, '
         '"std_error_nats": 0.0012551706668451647, '
         '"n_samples": 200000, '
         '"seed": 7, '
-        '"power_mean": 1.0000033708679006, '
+        '"power_mean": 1.0000033708679021, '
         '"power_std_error": 8.221999571781409e-05, '
         '"degenerate": false}',
     ),

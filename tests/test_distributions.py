@@ -403,7 +403,8 @@ def test_scalar_path_matches_array_path(law, fn):
 # The samplers reduce short axes with strided slices; these are the plain
 # numpy formulas they replace, and the stream each law draws is pinned to
 # them bit for bit. Axes of 8 or more entries cross into numpy's pairwise
-# sum, so the cases straddle that width.
+# sum, and the max over 16 or more users into numpy's own max, so the cases
+# straddle both widths.
 PIN_SAMPLES = 70_001
 
 
@@ -422,7 +423,7 @@ def stream_pinning_cases():
             make_gamma_diversity(N),
             lambda rng, n, N=N: rng.standard_exponential((n, N)).sum(axis=1),
         ))
-    for N, K in ((1, 1), (2, 2), (7, 2), (8, 2), (2, 8), (4, 16), (2, 64)):
+    for N, K in ((1, 1), (2, 2), (7, 2), (8, 2), (2, 8), (3, 12), (2, 15), (4, 16), (2, 64)):
         cases.append((
             make_miso_multiuser(N, K),
             lambda rng, n, N=N, K=K: (

@@ -143,6 +143,90 @@ class TestRootFinding:
             Bracket(2.0, 2.0)
 
 
+# (g, g', bracket, root): increasing and decreasing, with Newton steps from
+# bracket.lo that start at a zero slope (cube), overshoot the bracket
+# (atan) or converge from one side (log, reciprocal), and a log-power
+# constraint log(1/z - 1) = log 10 in u = log z
+NEWTON_CASES = [
+    (lambda x: x**3 - 8.0, lambda x: 3.0 * x * x, Bracket(0.0, 5.0), 2.0),
+    (lambda x: math.expm1(x - 1.0), lambda x: math.exp(x - 1.0), Bracket(0.0, 3.0), 1.0),
+    (lambda x: math.atan(x - 0.3), lambda x: 1.0 / (1.0 + (x - 0.3) ** 2),
+     Bracket(-40.0, 10.0), 0.3),
+    (math.log, lambda x: 1.0 / x, Bracket(0.1, 10.0), 1.0),
+    (lambda x: 1.0 / x - 2.0, lambda x: -1.0 / (x * x), Bracket(0.01, 10.0), 0.5),
+    (lambda u: math.log(math.exp(-u) - 1.0) - math.log(10.0),
+     lambda u: -1.0 / (1.0 - math.exp(u)), Bracket(-5.0, -1e-9), -math.log(11.0)),
+]
+
+
+class TestNewtonRootFinding:
+    @pytest.mark.parametrize("g, dg, bracket, root", NEWTON_CASES)
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-15])
+    def test_converges_to_tol(self, g, dg, bracket, root, tol):
+        got = find_root_monotone(g, bracket, tol=tol, dg=dg)
+        assert bracket.lo <= got <= bracket.hi
+        assert abs(got - root) <= tol + 8.0 * np.spacing(abs(root))
+
+    @pytest.mark.parametrize("g, dg, bracket, root", NEWTON_CASES)
+    def test_fewer_evaluations_than_brent(self, g, dg, bracket, root):
+        def counting(fn, points):
+            def wrapped(x):
+                points.append(x)
+                return fn(x)
+            return wrapped
+
+        newton, brent = [], []
+        find_root_monotone(counting(g, newton), bracket, tol=1e-12, dg=dg)
+        find_root_monotone(counting(g, brent), bracket, tol=1e-12)
+        assert len(newton) <= len(brent)
+
+    def test_bisects_when_newton_leaves_the_bracket(self):
+        points = []
+
+        def g(x):
+            points.append(x)
+            return math.atan(x)
+
+        # the tangent at -20 crosses zero near +590, far outside the bracket
+        root = find_root_monotone(g, Bracket(-20.0, 1.0), tol=1e-12,
+                                  dg=lambda x: 1.0 / (1.0 + x * x))
+        assert points[2] == -9.5
+        assert abs(root) <= 1e-12
+
+    @pytest.mark.parametrize("slope", [0.0, math.nan, -1.0, math.inf])
+    def test_bisects_when_the_slope_is_unusable(self, slope):
+        # zero, NaN, wrong-signed and infinite slopes give pure bisection:
+        # one halving of the bracket per evaluation
+        points = []
+
+        def g(x):
+            points.append(x)
+            return x - 0.7
+
+        root = find_root_monotone(g, Bracket(0.0, 1.0), tol=1e-10, dg=lambda x: slope)
+        assert abs(root - 0.7) <= 1e-10
+        assert points[2:5] == [0.5, 0.75, 0.625]
+        assert len(points) <= 2 + math.ceil(math.log2(1.0 / 1e-10)) + 1
+
+    def test_bisects_where_g_is_not_finite(self):
+        # -inf on the right, as a log of a non-positive value reads
+        def g(x):
+            return math.log(1.0 - x) if x < 1.0 else -math.inf
+
+        root = find_root_monotone(g, Bracket(-1.0, 3.0), tol=1e-13,
+                                  dg=lambda x: -1.0 / (1.0 - x) if x < 1.0 else math.nan)
+        assert abs(root) <= 1e-13
+
+    def test_no_sign_change(self):
+        with pytest.raises(BracketError):
+            find_root_monotone(lambda x: x * x + 1.0, Bracket(-1.0, 1.0),
+                               dg=lambda x: 2.0 * x)
+
+    def test_endpoint_root_is_returned(self):
+        assert find_root_monotone(lambda x: x - 1.0, Bracket(1.0, 2.0), dg=lambda x: 1.0) == 1.0
+        assert find_root_monotone(lambda x: x - 2.0, Bracket(1.0, 2.0), dg=lambda x: 1.0) == 2.0
+
+
 class TestMaximizeUnimodal:
     def test_parabola(self):
         x, v = maximize_unimodal(lambda x: -((x - 3.0) ** 2), Bracket(0.0, 10.0), tol=1e-10)

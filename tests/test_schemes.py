@@ -1,9 +1,13 @@
 """Scheme capacities, implicit thresholds and their shared invariants."""
 
+import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import tanhsinh
 
 from fadecap import schemes
@@ -37,6 +41,33 @@ def spike_at(center, width=1e-3):
     z = center + width * np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
     p = np.array([0.0, 0.5, 1.0, 0.5, 0.0])
     return make_tabulated(np.column_stack([z, p]))
+
+
+@functools.cache
+def _gamma_law(N):
+    return make_gamma_diversity(N)
+
+
+@functools.cache
+def _miso_law(N, K):
+    return make_miso_multiuser(N, K)
+
+
+@functools.cache
+def _maxexp_law(K):
+    return make_max_exponential(K)
+
+
+@functools.cache
+def _scaled_gamma_law(N, c):
+    return make_gamma_diversity(N).scaled(c)
+
+
+@functools.cache
+def _tabulated_law(shape):
+    # p(0) = 0, so E[1/Z] is finite
+    z = np.linspace(0.0, 6.0 * shape + 8.0, 40)
+    return make_tabulated(np.column_stack([z, z ** (shape - 1.0) * np.exp(-z)]))
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +136,70 @@ class TestOaThreshold:
         assert all(0.0 < p <= 1.0 + 1e-12 for p in products)
         assert all(b > a for a, b in zip(products, products[1:]))
         assert products[-1] == pytest.approx(1.0, abs=1e-5)
+
+
+def _jensen_end(dist, S):
+    return 1.0 / (S + dist.inverse_mean)
+
+
+class TestOaCutoffSolve:
+    """The Newton solve in u = log z_t against exact oracles and its cost."""
+
+    def test_gamma2_matches_lambert_w_from_minus_60_to_90_db(self, gamma2):
+        # gamma:N=2 has z_t = W(1/S) and C_OA = E1(z_t) + e^-z_t; both
+        # references come from 30-digit mpmath, not from quadrature
+        worst_cut = worst_cap = 0.0
+        with mp.workdps(30):
+            for k in range(61):
+                S = 10.0 ** ((-60.0 + 2.5 * k) / 10.0)
+                z_ref = mp.lambertw(1 / mp.mpf(S)).real
+                cap_ref = mp.e1(z_ref) + mp.exp(-z_ref)
+                result = oa_capacity(gamma2, S)
+                worst_cut = max(worst_cut, float(abs(result.threshold_z_t - z_ref) / z_ref))
+                worst_cap = max(worst_cap, float(abs(result.capacity_nats - cap_ref) / cap_ref))
+                assert abs(result.power_constraint_residual) < 1e-9
+        assert worst_cut <= 1e-13
+        assert worst_cap <= 1e-11
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        law=st.one_of(
+            st.builds(_gamma_law, st.integers(2, 6)),
+            st.builds(_miso_law, st.integers(1, 3), st.integers(1, 4)).filter(
+                lambda d: d.inverse_mean_finite
+            ),
+            st.builds(_maxexp_law, st.integers(2, 6)),
+            st.builds(_scaled_gamma_law, st.integers(2, 4),
+                      st.sampled_from([0.01, 0.3, 7.0, 100.0])),
+            st.builds(_tabulated_law, st.sampled_from([1.3, 2.0, 3.5])),
+        ),
+        snr_db=st.floats(-60.0, 90.0),
+    )
+    def test_jensen_end_is_below_the_cutoff(self, law, snr_db):
+        # P(z) >= 1/z - E[1/Z] makes psi >= 0 at z = 1/(S + E[1/Z]); the
+        # computed constraint may read a few ulps below it there
+        S = 10.0 ** (snr_db / 10.0)
+        z_lo = _jensen_end(law, S)
+        assert schemes._oa_power_integral(law, S, z_lo) - 1.0 >= -1e-13
+        assert oa_threshold(law, S).z_t >= z_lo * (1.0 - 1e-13)
+
+    @pytest.mark.parametrize("law", ["gamma2", "miso22"])
+    def test_cost_pin_cutoffs_per_solve(self, request, law):
+        # Brent integrated 8.4-8.6 cutoffs per solve on the constraint in z,
+        # and 5.1-6.0 on the same Jensen bracket in u; Newton takes 3.8-4.5
+        dist = request.getfixturevalue(law)
+        counts = [oa_threshold(dist, 10.0 ** (db / 10.0)).iterations
+                  for db in np.arange(-10.0, 40.1, 2.5)]
+        assert np.mean(counts) <= 5.0
+
+    def test_divergent_inverse_mean_walks_down(self):
+        # E[1/Z] is infinite for a single Rayleigh branch, so there is no
+        # Jensen end; the cutoff still meets the constraint
+        rayleigh = make_gamma_diversity(1)
+        for S in (1e-6, 1.0, 1e9):
+            solution = oa_threshold(rayleigh, S)
+            assert abs(solution.residual) < 1e-9
+            assert 0.0 < solution.z_t < 1.0 / S
 
 
 class TestOaCapacity:
