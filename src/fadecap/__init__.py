@@ -12,14 +12,10 @@ from .numerics import (
     BracketError,
     QuadResult,
     QuadratureError,
-    digamma,
     find_root_monotone,
-    gamma_fn,
     integrate_finite,
     integrate_semi_infinite,
-    log_gamma,
     maximize_unimodal,
-    reg_lower_inc_gamma,
 )
 from .distributions import (
     DistributionSpec,
@@ -70,14 +66,10 @@ __all__ = [
     "BracketError",
     "QuadResult",
     "QuadratureError",
-    "digamma",
     "find_root_monotone",
-    "gamma_fn",
     "integrate_finite",
     "integrate_semi_infinite",
-    "log_gamma",
     "maximize_unimodal",
-    "reg_lower_inc_gamma",
     "DistributionSpec",
     "FadingDistribution",
     "load_tabulated_csv",

@@ -28,8 +28,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from scipy import special
+
 from .distributions import FadingDistribution
-from .numerics import EULER_MASCHERONI, digamma
+from .numerics import EULER_MASCHERONI
 from .schemes import Scheme, _tci_tail
 
 
@@ -103,7 +105,7 @@ def space_diversity_gaps(N) -> SpaceDiversityGaps:
         raise ValueError(f"need an integer N >= 2 (inversion degenerates below), got {N}")
     N = int(N)
     return SpaceDiversityGaps(
-        gap_oa_ci=digamma(N) - math.log(N - 1),
+        gap_oa_ci=float(special.digamma(N)) - math.log(N - 1),
         gap_awgn_ci=math.log1p(1.0 / (N - 1)),
         expansion_oa_ci=0.5 / (N - 1),
         expansion_awgn_ci=1.0 / (N - 1),

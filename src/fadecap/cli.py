@@ -25,11 +25,13 @@ import json
 import math
 import sys
 
+from scipy import special
+
 from . import verify as verify_mod
 from .asymptotics import gap_report, space_diversity_gaps
 from .distributions import DistributionSpec
 from .mc import mc_capacity
-from .numerics import EULER_MASCHERONI, gamma_fn
+from .numerics import EULER_MASCHERONI
 from .schemes import Scheme, capacity
 
 LN2 = math.log(2.0)
@@ -233,9 +235,11 @@ def cmd_gaps(args) -> int:
         }
     elif spec.kind == "frechet":
         alpha = spec.parameters["alpha"]
-        oa_ci = EULER_MASCHERONI / alpha + math.log(gamma_fn(1.0 + 1.0 / alpha))
+        oa_ci = EULER_MASCHERONI / alpha + math.log(float(special.gamma(1.0 + 1.0 / alpha)))
         awgn_ci = (
-            math.log(gamma_fn(1.0 - 1.0 / alpha) * gamma_fn(1.0 + 1.0 / alpha))
+            math.log(
+                float(special.gamma(1.0 - 1.0 / alpha)) * float(special.gamma(1.0 + 1.0 / alpha))
+            )
             if alpha > 1.0
             else math.inf
         )

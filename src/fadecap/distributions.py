@@ -32,6 +32,12 @@ scalar float argument returns a Python float through a direct path with
 no array allocation, which is the path adaptive quadrature takes one
 point at a time; an array argument returns an array of the same shape.
 
+Every expectation E[g(z)] goes through ``FadingDistribution.expect``,
+which picks its rule from the support alone: adaptive QUADPACK on an
+unbounded support, and on a bounded one a fixed Gauss-Legendre rule on
+the pieces between the law's knots. A tabulated law's knots are its
+grid, and a scaled law's are its base law's, scaled.
+
 Distributions are immutable after construction; samplers take an
 explicit numpy Generator so callers own all random state. A sampler
 ``sampler(rng, n)`` returns a fresh array of n gains, and for a given
@@ -55,6 +61,7 @@ from scipy import special
 
 from .numerics import (
     EULER_MASCHERONI,
+    _integrate_pieces,
     integrate_finite,
     integrate_semi_infinite,
 )
@@ -159,9 +166,6 @@ class FadingDistribution:
     diversity_order: float
     quad_knots: tuple = ()
     sampler: Callable = None
-    # Optional override for expectations (piecewise models integrate
-    # segment-by-segment instead of relying on adaptive subdivision).
-    expect_impl: Optional[Callable] = None
 
     def __repr__(self):
         return f"FadingDistribution({self.name})"
@@ -176,17 +180,24 @@ class FadingDistribution:
 
     def expect(self, integrand=None, lo: float = 0.0, hi: float = None,
                rel_tol: float = MOMENT_REL_TOL) -> float:
-        """Integral of integrand(z) * pdf(z) over [lo, hi] (hi=None: support top)."""
+        """Integral of integrand(z) * pdf(z) over [lo, hi] (hi=None: support top).
+
+        On a bounded support a fixed Gauss-Legendre rule integrates each
+        piece between ``quad_knots``: the knots must split the density into
+        smooth pieces, the integrand and the density must take arrays, and
+        ``rel_tol`` is not used. On an unbounded support QUADPACK integrates
+        adaptively to ``rel_tol``, with subdivision forced at the knots.
+        """
         upper = self.support_sup if hi is None else min(hi, self.support_sup)
         lower = max(lo, 0.0)
         if upper <= lower:
             return 0.0
-        if self.expect_impl is not None:
-            return self.expect_impl(integrand, lower, upper)
         if integrand is None:
             f = self.pdf
         else:
             f = lambda z: integrand(z) * self.pdf(z)
+        if self.support_sup < math.inf:
+            return _integrate_pieces(f, lower, upper, self.quad_knots)
         if math.isinf(upper):
             return integrate_semi_infinite(f, lower, rel_tol, knots=self.quad_knots).value
         return integrate_finite(f, lower, upper, rel_tol, knots=self.quad_knots).value
@@ -213,12 +224,6 @@ class FadingDistribution:
         if not 0.0 < c < math.inf:
             raise ValueError(f"scale must be finite and positive, got {c}")
         base = self
-        scaled_expect = None
-        if base.expect_impl is not None:
-            def scaled_expect(integrand, lo, hi):
-                if integrand is None:
-                    return base.expect_impl(None, lo / c, hi / c)
-                return base.expect_impl(lambda w: integrand(c * w), lo / c, hi / c)
 
         def scaled_sampler(rng, n):
             # every sampler returns a fresh array, so it is scaled in place
@@ -237,7 +242,6 @@ class FadingDistribution:
             diversity_order=base.diversity_order,
             quad_knots=tuple(c * k for k in base.quad_knots),
             sampler=scaled_sampler,
-            expect_impl=scaled_expect,
         )
 
 
@@ -486,15 +490,6 @@ def make_miso_multiuser(N, K) -> FadingDistribution:
 # ---------------------------------------------------------------------------
 
 
-_GAUSS_CACHE: dict = {}
-
-
-def _gauss_nodes(n: int):
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GAUSS_CACHE[n]
-
-
 class _TabulatedLaw:
     """Exact integrals and inverse-CDF sampling for a piecewise-linear pdf."""
 
@@ -507,21 +502,17 @@ class _TabulatedLaw:
         self.cum[-1] = 1.0  # renormalized upstream; pin the top exactly
 
     def pdf(self, x):
-        return np.interp(x, self.z, self.p, left=0.0, right=0.0)
+        # NaN is mapped below the grid, where the density is 0
+        return np.interp(np.fmax(x, -1.0), self.z, self.p, left=0.0, right=0.0)
 
     def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        idx = np.clip(np.searchsorted(self.z, arr, side="right") - 1, 0, len(self.z) - 2)
+        """F at finite x > 0, an ``np.float64`` or an array."""
+        idx = np.clip(np.searchsorted(self.z, x, side="right") - 1, 0, len(self.z) - 2)
         z0 = self.z[idx]
         slope = (self.p[idx + 1] - self.p[idx]) / (self.z[idx + 1] - z0)
-        u = np.clip(arr - z0, 0.0, self.z[idx + 1] - z0)
+        u = np.clip(x - z0, 0.0, self.z[idx + 1] - z0)
         out = self.cum[idx] + self.p[idx] * u + 0.5 * slope * u * u
-        out[arr <= self.z[0]] = 0.0
-        out[arr >= self.z[-1]] = 1.0
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if scalar else out
+        return np.clip(np.where(x >= self.z[-1], 1.0, out), 0.0, 1.0)
 
     def _segment_moments(self):
         """Per-segment exact integrals of z*p(z), p(z)/z and log(z)*p(z)."""
@@ -553,52 +544,6 @@ class _TabulatedLaw:
         inverse_mean = float(np.sum(inv_terms)) if np.all(np.isfinite(inv_terms)) else math.inf
         log_mean = float(np.sum(log_terms))
         return mean, inverse_mean, log_mean
-
-    def expect(self, integrand, lo: float, hi: float, nodes: int = 12) -> float:
-        """Gauss-Legendre per clipped segment.
-
-        Segments spanning more than a factor of 4 away from the origin
-        are refined geometrically so 1/z-type integrands stay accurate
-        after a low cut clips into a segment.
-        """
-        x_gl, w_gl = _gauss_nodes(nodes)
-        lo = max(lo, self.z[0])
-        hi = min(hi, self.z[-1])
-        if hi <= lo:
-            return 0.0
-        a = np.maximum(self.z[:-1], lo)
-        b = np.minimum(self.z[1:], hi)
-        keep = b > a
-        a, b = a[keep], b[keep]
-        if len(a) == 0:
-            return 0.0
-        pieces_a, pieces_b = [], []
-        for ai, bi in zip(a, b):
-            if ai == 0.0:
-                # resolve integrands whose scale of variation near the
-                # origin is unknown (e.g. log(1 + S z) for large S):
-                # geometric pieces down to a negligible inner sliver
-                inner = bi * 4.0 ** -27
-                edges = np.concatenate(([0.0], np.geomspace(inner, bi, 28)))
-                pieces_a.extend(edges[:-1])
-                pieces_b.extend(edges[1:])
-            elif bi / ai > 4.0:
-                n_sub = int(np.ceil(np.log(bi / ai) / np.log(4.0))) + 1
-                edges = np.geomspace(ai, bi, n_sub + 1)
-                pieces_a.extend(edges[:-1])
-                pieces_b.extend(edges[1:])
-            else:
-                pieces_a.append(ai)
-                pieces_b.append(bi)
-        a = np.asarray(pieces_a)
-        b = np.asarray(pieces_b)
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        pts = mid[:, None] + half[:, None] * x_gl[None, :]
-        vals = self.pdf(pts)
-        if integrand is not None:
-            vals = vals * integrand(pts)
-        return float(np.sum(half * np.sum(vals * w_gl[None, :], axis=1)))
 
     def sample(self, rng, n: int) -> np.ndarray:
         u = rng.random(n)
@@ -633,7 +578,8 @@ def make_tabulated(grid) -> FadingDistribution:
 
     The grid must hold at least 4 strictly increasing z >= 0 with
     nonnegative density values; the density is renormalized to unit
-    mass. Moments are exact per-segment integrals, sampling inverts the
+    mass. Moments are exact per-segment integrals, other expectations
+    take the fixed rule on each segment, sampling inverts the
     piecewise-quadratic CDF, and the diversity order is estimated from
     the log-log slope of the CDF over the 5 smallest usable grid points.
     """
@@ -665,24 +611,19 @@ def make_tabulated(grid) -> FadingDistribution:
     else:
         slope = 1.0
 
-    if len(z) <= 32:
-        knots = tuple(z)
-    else:
-        step = max(1, len(z) // 24)
-        knots = tuple(sorted(set(z[::step]) | {z[0], z[-1], z[int(np.argmax(p))]}))
-
     dist = FadingDistribution(
         name=f"tabulated({len(z)} pts on [{z[0]:g}, {z[-1]:g}])",
-        pdf=law.pdf,
-        cdf=law.cdf,
+        # _TabulatedLaw.pdf is looked up on each call, so the benchmark's
+        # density-point counter, which patches it, sees every evaluation
+        pdf=lambda x: law.pdf(x),
+        cdf=lambda x: _as_float_or_array(x, law.cdf),
         mean=mean,
         inverse_mean=inverse_mean,
         log_mean=log_mean,
         support_sup=float(z[-1]),
         diversity_order=slope,
-        quad_knots=knots,
+        quad_knots=tuple(z),
         sampler=law.sample,
-        expect_impl=law.expect,
     )
     return _validate(dist)
 

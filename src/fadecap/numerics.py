@@ -1,17 +1,16 @@
 """Shared numerical kernels.
 
-Adaptive quadrature on finite and semi-infinite intervals, bracketed
-monotone root finding (Brent's method, or safeguarded Newton when the
-derivative is supplied), unimodal 1-D maximization, and the special
-functions (Gamma, log-Gamma, digamma, regularized lower incomplete
-Gamma) used by the fading-gain models.
+Adaptive quadrature on finite and semi-infinite intervals, a fixed
+piecewise Gauss-Legendre rule for bounded supports, bracketed monotone
+root finding (Brent's method, or safeguarded Newton when the derivative
+is supplied) and unimodal 1-D maximization.
 
 The semi-infinite case maps [a, inf) onto [0, 1) with z = a + t/(1-t),
 so exponential, power-law and extreme-value tails are all handled by the
-same adaptive rule. Quadrature, derivative-free root finding and
-maximization are delegated to scipy (QUADPACK, Brent's root finder and
-bounded Brent minimization) behind the interfaces below; the Newton
-iteration is implemented here.
+same adaptive rule. Adaptive quadrature, derivative-free root finding
+and maximization are delegated to scipy (QUADPACK, Brent's root finder
+and bounded Brent minimization) behind the interfaces below; the fixed
+rule and the Newton iteration are implemented here.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize, special
+from scipy import optimize
 from scipy.integrate import quad
 
 EULER_MASCHERONI = 0.5772156649015329
@@ -33,6 +32,9 @@ DEFAULT_REL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 _QUAD_LIMIT = 250
+
+# Gauss-Legendre nodes and weights on [-1, 1] for each piece of the fixed rule
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,44 @@ def integrate_semi_infinite(
     return integrate_finite(transformed, 0.0, 1.0, rel_tol, knots=mapped)
 
 
+def _integrate_pieces(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    knots: Sequence[float],
+) -> float:
+    """Integrate f over [a, b] by a fixed rule on the pieces between knots.
+
+    ``f`` takes an array of points. The knots inside (a, b) split [a, b]
+    into pieces, and each piece gets 12-node Gauss-Legendre, so an
+    integrand that is smooth between knots (a piecewise-linear density
+    times a smooth function) needs no adaptive subdivision. A piece
+    spanning more than a factor of 4 is refined geometrically, so 1/z-type
+    integrands stay accurate when a low cut clips into it; a piece from
+    the origin is cut geometrically down to a negligible inner sliver,
+    which resolves integrands such as log(1 + S z) whose scale near 0
+    grows with S.
+    """
+    edges = [a, *(k for k in knots if a < k < b), b]
+    lo, hi = [], []
+    for ai, bi in zip(edges[:-1], edges[1:]):
+        if ai == 0.0:
+            sub = np.concatenate(([0.0], np.geomspace(bi * 4.0 ** -27, bi, 28)))
+        elif bi / ai > 4.0:
+            sub = np.geomspace(ai, bi, int(np.ceil(np.log(bi / ai) / np.log(4.0))) + 2)
+        else:
+            lo.append(ai)
+            hi.append(bi)
+            continue
+        lo.extend(sub[:-1])
+        hi.extend(sub[1:])
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    values = f(mid[:, None] + half[:, None] * _GL_NODES)
+    return float(np.sum(half * np.sum(values * _GL_WEIGHTS, axis=1)))
+
+
 def find_root_monotone(
     g: Callable[[float], float],
     bracket: Bracket,
@@ -255,31 +295,3 @@ def maximize_unimodal(
     if -refined.fun > best_val:
         best_x, best_val = from_u(refined.x), -refined.fun
     return float(best_x), float(best_val)
-
-
-def digamma(x: float) -> float:
-    """psi(x) = d log Gamma(x) / dx for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    return float(special.digamma(x))
-
-
-def gamma_fn(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    return float(special.gamma(x))
-
-
-def log_gamma(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return float(special.gammaln(x))
-
-
-def reg_lower_inc_gamma(n: float, z: float) -> float:
-    """Regularized lower incomplete Gamma P(n, z) for n > 0, z >= 0."""
-    if n <= 0.0:
-        raise ValueError(f"reg_lower_inc_gamma requires n > 0, got {n}")
-    if z < 0.0:
-        raise ValueError(f"reg_lower_inc_gamma requires z >= 0, got {z}")
-    return float(special.gammainc(n, z))

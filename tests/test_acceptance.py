@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaln, zeta
+from scipy.special import digamma, gammaln, zeta
 
 from fadecap.asymptotics import (
     gap_awgn_ci,
@@ -40,7 +40,7 @@ from fadecap.distributions import (
     make_tabulated,
 )
 from fadecap.mc import mc_capacity
-from fadecap.numerics import EULER_MASCHERONI, digamma, integrate_semi_infinite
+from fadecap.numerics import EULER_MASCHERONI, integrate_semi_infinite
 from fadecap.schemes import (
     Scheme,
     awgn_capacity,

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 from fadecap.asymptotics import (
     gap_awgn_ci,
@@ -26,7 +27,7 @@ from fadecap.distributions import (
     make_miso_multiuser,
     make_tabulated,
 )
-from fadecap.numerics import EULER_MASCHERONI, digamma, integrate_semi_infinite
+from fadecap.numerics import EULER_MASCHERONI, integrate_semi_infinite
 from fadecap.schemes import (
     Scheme,
     awgn_capacity,

@@ -7,6 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 from fadecap.distributions import (
     DistributionSpec,
@@ -19,7 +20,7 @@ from fadecap.distributions import (
     make_miso_multiuser,
     make_tabulated,
 )
-from fadecap.numerics import EULER_MASCHERONI, digamma, integrate_semi_infinite
+from fadecap.numerics import EULER_MASCHERONI, integrate_semi_infinite
 
 GAMMA_EM = EULER_MASCHERONI
 
@@ -314,17 +315,21 @@ class TestSharedInvariants:
             make_gamma_diversity(2).scaled(c)
 
     def test_validation_rejects_nan_mass_and_mean(self):
-        def law(expect_impl):
-            return FadingDistribution(
+        def law(mass, mean_quad):
+            class Law(FadingDistribution):
+                def expect(self, integrand=None, **kwargs):
+                    return mass if integrand is None else mean_quad
+
+            return Law(
                 name="nan-law", pdf=None, cdf=lambda z: 0.0, mean=1.0,
                 inverse_mean=1.0, log_mean=0.0, support_sup=1.0,
-                diversity_order=1.0, expect_impl=expect_impl,
+                diversity_order=1.0,
             )
 
         with pytest.raises(ValueError, match="mass"):
-            _validate(law(lambda integrand, lo, hi: math.nan))
+            _validate(law(math.nan, math.nan))
         with pytest.raises(ValueError, match="mean"):
-            _validate(law(lambda integrand, lo, hi: 1.0 if integrand is None else math.nan))
+            _validate(law(1.0, math.nan))
 
     def test_scaled_sampler_and_draws(self):
         d = make_gamma_diversity(2)
@@ -473,11 +478,16 @@ def infinity_laws():
 @pytest.mark.parametrize("law", infinity_laws(), ids=lambda d: d.name)
 def test_limits_at_infinity(law):
     # the density's limit is 0 and the CDF's is 1, on the scalar and the
-    # array path alike; a NaN or a RuntimeWarning on the way fails
+    # array path alike; a NaN or a RuntimeWarning on the way fails. A NaN
+    # or negative argument gives 0 to both.
     assert law.pdf(math.inf) == 0.0
     assert law.cdf(math.inf) == 1.0
-    z = np.array([0.5, math.inf, 2.0, math.inf])
+    for bad in (math.nan, -1.0):
+        assert law.pdf(bad) == 0.0 and law.cdf(bad) == 0.0, bad
+    z = np.array([0.5, math.inf, 2.0, math.inf, math.nan, -1.0])
     pdf, cdf = law.pdf(z), law.cdf(z)
     assert np.array_equal(pdf[[1, 3]], [0.0, 0.0])
     assert np.array_equal(cdf[[1, 3]], [1.0, 1.0])
+    assert np.array_equal(pdf[[4, 5]], [0.0, 0.0])
+    assert np.array_equal(cdf[[4, 5]], [0.0, 0.0])
     assert np.all(pdf[[0, 2]] > 0.0) and np.all(cdf[[0, 2]] < 1.0)

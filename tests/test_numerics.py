@@ -1,4 +1,4 @@
-"""Quadrature, root-finding, maximization and special-function kernels."""
+"""Quadrature, root-finding and maximization kernels."""
 
 import math
 
@@ -6,19 +6,14 @@ import numpy as np
 import pytest
 
 from fadecap.numerics import (
-    EULER_MASCHERONI,
     Bracket,
     BracketError,
     QuadratureError,
     QuadResult,
-    digamma,
     find_root_monotone,
-    gamma_fn,
     integrate_finite,
     integrate_semi_infinite,
-    log_gamma,
     maximize_unimodal,
-    reg_lower_inc_gamma,
 )
 
 
@@ -255,44 +250,3 @@ class TestMaximizeUnimodal:
         x, v = maximize_unimodal(lambda x: min(x, 1.0), Bracket(lo, 3.0))
         assert (x, v) == (float(grid[grid >= 1.0][0]), 1.0)
 
-
-class TestSpecialFunctions:
-    def test_digamma_at_one(self):
-        assert digamma(1.0) == pytest.approx(-EULER_MASCHERONI, abs=1e-12)
-
-    def test_digamma_recurrence(self):
-        for x in np.linspace(0.5, 50.0, 100):
-            assert digamma(x + 1.0) - digamma(x) == pytest.approx(1.0 / x, abs=1e-12)
-
-    def test_gamma_factorial(self):
-        assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-14)
-
-    def test_log_gamma_consistency(self):
-        for x in (0.5, 1.0, 3.7, 20.0):
-            assert log_gamma(x) == pytest.approx(math.log(gamma_fn(x)), rel=1e-12)
-
-    @pytest.mark.parametrize("z", [0.0, 1.0, 2.0])
-    def test_reg_lower_inc_gamma_exponential_cdf(self, z):
-        assert reg_lower_inc_gamma(1.0, z) == pytest.approx(-math.expm1(-z), abs=1e-13)
-
-    def test_reg_lower_inc_gamma_saturates(self):
-        assert reg_lower_inc_gamma(2.0, 700.0) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "fn, bad",
-        [
-            (digamma, 0.0),
-            (digamma, -1.0),
-            (gamma_fn, 0.0),
-            (log_gamma, -3.0),
-        ],
-    )
-    def test_domain_errors(self, fn, bad):
-        with pytest.raises(ValueError):
-            fn(bad)
-
-    def test_reg_lower_inc_gamma_domain(self):
-        with pytest.raises(ValueError):
-            reg_lower_inc_gamma(0.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_lower_inc_gamma(1.0, -0.5)

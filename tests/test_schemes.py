@@ -510,6 +510,38 @@ class TestCrossSchemeInvariants:
                 ctci_capacity(gamma2, c * S, z_t).capacity_nats, abs=1e-9
             )
 
+    @pytest.mark.parametrize("c", [0.2, 3.0])
+    @pytest.mark.parametrize("z0", [0.0, 0.5])
+    def test_scaled_tabulated_law_matches_scaled_grid(self, c, z0):
+        # one law of c z by two routes: scaled() evaluates the base density
+        # at z / c on the scaled knots, make_tabulated interpolates the
+        # scaled grid itself
+        z = np.linspace(z0, 8.0, 25)
+        grid = np.column_stack([z, z * np.exp(-z)])
+        scaled = make_tabulated(grid).scaled(c)
+        direct = make_tabulated(np.column_stack([c * grid[:, 0], grid[:, 1] / c]))
+
+        def figures(dist, S):
+            cutoff = oa_threshold(dist, S).z_t
+            return [
+                cutoff,
+                dist.tail_inverse_integral(cutoff),
+                dist.head_mean(cutoff),
+                dist.tail_inverse_integral(c),
+                dist.head_mean(c),
+                oa_capacity(dist, S).capacity_nats,
+                ra_capacity(dist, S).capacity_nats,
+                ci_capacity(dist, S).capacity_nats,
+                tci_capacity(dist, S, c).capacity_nats,
+                ctci_capacity(dist, S, c).capacity_nats,
+            ]
+
+        for db in np.arange(-20.0, 41.0, 5.0):
+            S = 10.0 ** (db / 10.0)
+            np.testing.assert_allclose(
+                figures(scaled, S), figures(direct, S), rtol=1e-13, atol=0.0, err_msg=f"{db} dB"
+            )
+
     def test_dispatch_helper(self, gamma2):
         assert capacity(gamma2, Scheme.RA, 1.0).scheme is Scheme.RA
         assert capacity(gamma2, "awgn", 1.0).scheme is Scheme.AWGN
