@@ -184,19 +184,22 @@ class FadingDistribution:
 
         On a bounded support a fixed Gauss-Legendre rule integrates each
         piece between ``quad_knots``: the knots must split the density into
-        smooth pieces, the integrand and the density must take arrays, and
-        ``rel_tol`` is not used. On an unbounded support QUADPACK integrates
-        adaptively to ``rel_tol``, with subdivision forced at the knots.
+        smooth pieces, a bounded law's first knot is its lower support end
+        (the density is 0 below it), the integrand and the density must take
+        arrays, and ``rel_tol`` is not used. On an unbounded support QUADPACK
+        integrates adaptively to ``rel_tol``, with subdivision forced at the
+        knots.
         """
+        bounded = self.support_sup < math.inf
         upper = self.support_sup if hi is None else min(hi, self.support_sup)
-        lower = max(lo, 0.0)
+        lower = max(lo, self.quad_knots[0] if bounded and self.quad_knots else 0.0)
         if upper <= lower:
             return 0.0
         if integrand is None:
             f = self.pdf
         else:
             f = lambda z: integrand(z) * self.pdf(z)
-        if self.support_sup < math.inf:
+        if bounded:
             return _integrate_pieces(f, lower, upper, self.quad_knots)
         if math.isinf(upper):
             return integrate_semi_infinite(f, lower, rel_tol, knots=self.quad_knots).value

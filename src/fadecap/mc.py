@@ -6,9 +6,12 @@ of every quadrature capacity. The empirical average power E[D] is
 reported alongside so the unit power constraint can be audited.
 
 Sampling is sharded: shard i draws from a counter-based Philox stream
-keyed by (seed, i), and shards are merged with a streaming
-mean/variance combine. Estimates are bit-stable for a given
-(seed, n_samples) and do not depend on how shards are scheduled.
+keyed by (seed, i). The shards of one estimate run concurrently on a
+thread pool, one worker per CPU the process may use (numpy releases the
+GIL while it draws and reduces a shard), and their mean/variance
+statistics are merged in shard order with the pairwise combine rule.
+Estimates are bit-stable for a given (seed, n_samples) and do not depend
+on how many workers there are or how shards are scheduled.
 
 A law's samples for a given Generator are fixed by the C-order block its
 sampler draws and by how that block is reduced (see the samplers in
@@ -21,6 +24,10 @@ is the same as with ``standard_exponential((n, K, N)).sum(axis=2)
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +36,27 @@ from .distributions import FadingDistribution, _check_positive_int
 from .schemes import Scheme, _check_power, ctci_dmax, oa_threshold, tci_dmax
 
 SHARD_SIZE = 1 << 16
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_WORKERS = _usable_cpus()
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -50,12 +78,8 @@ class _Welford:
         self.mean = 0.0
         self.m2 = 0.0
 
-    def add_batch(self, x: np.ndarray):
-        n2 = x.size
-        if n2 == 0:
-            return
-        mean2 = float(np.mean(x))
-        m2_2 = float(np.var(x)) * n2
+    def merge(self, n2: int, mean2: float, m2_2: float):
+        """Fold in a batch's count, mean and sum of squared deviations."""
         n1, mean1, m2_1 = self.n, self.mean, self.m2
         n = n1 + n2
         delta = mean2 - mean1
@@ -70,8 +94,42 @@ class _Welford:
         return sample_std / math.sqrt(self.n)
 
 
+def _batch_stats(x: np.ndarray) -> tuple:
+    """(count, mean, sum of squared deviations) of a nonempty batch."""
+    return x.size, float(np.mean(x)), float(np.var(x)) * x.size
+
+
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, shard))))
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="fadecap-mc")
+        return _pool
+
+
+def _map_in_order(fn, n: int, workers: int):
+    """``fn(0), ..., fn(n - 1)`` in order, at most ``workers`` running at once."""
+    workers = min(workers, n)
+    if workers <= 1:
+        yield from map(fn, range(n))
+        return
+    pool = _executor()
+    pending = deque(pool.submit(fn, i) for i in range(workers))
+    try:
+        for i in range(workers, n + workers):
+            result = pending.popleft().result()
+            if i < n:
+                pending.append(pool.submit(fn, i))
+            yield result
+    finally:
+        # after an error, no shard of this call may run on once it returns
+        for future in pending:
+            future.cancel()
+        wait(pending)
 
 
 def mc_capacity(
@@ -112,16 +170,18 @@ def mc_capacity(
     elif scheme is Scheme.CTCI:
         d_max = ctci_dmax(dist, z_t)
 
+    def shard_stats(shard):
+        m = min(SHARD_SIZE, n_samples - shard * SHARD_SIZE)
+        z = dist.sampler(_shard_rng(seed, shard), m)
+        rate, power = _rate_and_power(scheme, dist, S, z, z_t, d_max)
+        return _batch_stats(rate), _batch_stats(power)
+
     rate_acc = _Welford()
     power_acc = _Welford()
     n_shards = (n_samples + SHARD_SIZE - 1) // SHARD_SIZE
-    for shard in range(n_shards):
-        m = min(SHARD_SIZE, n_samples - shard * SHARD_SIZE)
-        rng = _shard_rng(seed, shard)
-        z = dist.sampler(rng, m)
-        rate, power = _rate_and_power(scheme, dist, S, z, z_t, d_max)
-        rate_acc.add_batch(rate)
-        power_acc.add_batch(power)
+    for rate_stats, power_stats in _map_in_order(shard_stats, n_shards, _WORKERS):
+        rate_acc.merge(*rate_stats)
+        power_acc.merge(*power_stats)
 
     return McEstimate(
         mean_nats=rate_acc.mean,

@@ -21,6 +21,7 @@ from fadecap.distributions import (
     make_tabulated,
 )
 from fadecap.numerics import EULER_MASCHERONI, integrate_semi_infinite
+from fadecap.schemes import Scheme, capacity
 
 GAMMA_EM = EULER_MASCHERONI
 
@@ -226,6 +227,76 @@ class TestTabulated:
         path.write_text("z,pdf\n1,2\nnot,numbers,here\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_tabulated_csv(path)
+
+
+def gamma_shape_grid(lo):
+    z = np.linspace(lo, 8.0, 25)
+    return np.column_stack([z, z * np.exp(-z)])
+
+
+LOWER_END_LAWS = {
+    "off": lambda: make_tabulated(gamma_shape_grid(0.5)),
+    "zero": lambda: make_tabulated(gamma_shape_grid(0.0)),
+    "scaled": lambda: make_tabulated(gamma_shape_grid(0.5)).scaled(3.0),
+}
+
+# Recorded while the bounded rule still integrated from 0 up to a grid's
+# first point: capacities of OA, RA, CI, TCI and CTCI (z_t = 1) at
+# S = 0.1, 10 and 1000, T(t) at t = 0, 0.5, 1, 3 and H(t) at t = 0.5, 1, 3, 8.
+LOWER_END_RECORDS = {
+    "off": {
+        "caps": [
+            [0.24911749086743934, 0.1893169111767332, 0.13992149755791908, 0.1784839200708025, 0.14845367581954527],
+            [2.9542520916956208, 2.95352819008918, 2.7737349594289906, 2.628682355062823, 2.826472827423438],
+            [7.495625756176662, 7.495625671685913, 7.315108623910032, 6.32815295404796, 7.370542207098688],
+        ],
+        "T": [0.6658520938477102, 0.6658520938477102, 0.4058007140709271, 0.054895068348317755],
+        "H": [0.0, 0.14380505708800642, 1.2411722233622604, 2.1505355101801986],
+    },
+    "zero": {
+        "caps": [
+            [0.24309675993420307, 0.17604501014943333, 0.09924743494198669, 0.17684356238041907, 0.13328265002070977],
+            [2.827079408283784, 2.822341153229344, 2.4365871568118664, 2.4697825454853004, 2.6883954319536487],
+            [7.343200069630935, 7.343198009134985, 6.951193221151318, 5.859195485533611, 7.21653859328779],
+        ],
+        "T": [0.9584096416599809, 0.6086608593174793, 0.3714611267665929, 0.05028430536467674],
+        "H": [0.027687024891211512, 0.15904882684412947, 1.16361946284979, 1.9966482093044233],
+    },
+    "scaled": {
+        "caps": [
+            [0.5313043820763454, 0.47217719021575116, 0.3719431459638542, 0.37194314596385425, 0.37194314596385425],
+            [4.0103545725528384, 4.010265472948046, 3.8298374402862083, 3.8298374402862083, 3.8298374402862083],
+            [8.593794340402612, 8.593794331004448, 8.413277208135982, 8.413277208135982, 8.413277208135982],
+        ],
+        "T": [0.22195069794923677, 0.22195069794923675, 0.22195069794923675, 0.13526690469030905],
+        "H": [0.0, 0.0, 0.4314151712640193, 3.2005957550740067],
+    },
+}
+
+
+class TestBoundedRuleLowerEnd:
+    """A bounded law's expectations start at its first knot, where its density starts."""
+
+    @pytest.mark.parametrize("case, max_points, rel", [
+        ("off", 288, 1e-15), ("scaled", 288, 1e-15), ("zero", 612, 0.0),
+    ])
+    def test_matches_records_with_fewer_points(self, case, max_points, rel):
+        # 24 pieces of 12 nodes on [0.5, 8]; the rule from 0 also spent
+        # 28 pieces on [0, 0.5], where the density is 0. Grids from 0 keep
+        # the origin piece and their bits.
+        law = LOWER_END_LAWS[case]()
+        sizes = []
+        law.expect(lambda z: sizes.append(z.size) or np.ones_like(z))
+        assert sum(sizes) <= max_points
+        record = LOWER_END_RECORDS[case]
+        schemes = [Scheme(s) for s in ("oa", "ra", "ci", "tci", "ctci")]
+        for S, expected in zip((0.1, 10.0, 1000.0), record["caps"]):
+            got = [capacity(law, s, S, z_t=1.0).capacity_nats for s in schemes]
+            assert got == pytest.approx(expected, rel=rel, abs=0.0)
+        tails = [law.tail_inverse_integral(t) for t in (0.0, 0.5, 1.0, 3.0)]
+        assert tails == pytest.approx(record["T"], rel=rel, abs=0.0)
+        heads = [law.head_mean(t) for t in (0.5, 1.0, 3.0, 8.0)]
+        assert heads == pytest.approx(record["H"], rel=rel, abs=0.0)
 
 
 class TestSharedInvariants:

@@ -1,11 +1,17 @@
 """Monte-Carlo oracle: reproducibility, calibration and agreement with
 the quadrature capacities."""
 
+import dataclasses
 import math
+import multiprocessing
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from fadecap import mc
 from fadecap.distributions import (
     make_gamma_diversity,
     make_max_exponential,
@@ -83,6 +89,110 @@ class TestShardedMerge:
         assert est.power_mean == within(1e-14, np.mean(power))
         assert est.std_error == within(1e-10, np.std(rate, ddof=1) / root_n)
         assert est.power_std_error == within(1e-10, np.std(power, ddof=1) / root_n)
+
+
+ALL_SCHEMES = (Scheme.OA, Scheme.RA, Scheme.CI, Scheme.TCI, Scheme.CTCI)
+
+
+def miso22_estimates(dist, seed=4):
+    n = 3 * SHARD_SIZE + 17
+    return [mc_capacity(dist, s, 10.0, z_t=1.0, n_samples=n, seed=seed) for s in ALL_SCHEMES]
+
+
+def _put_estimates(dist, queue):
+    queue.put(miso22_estimates(dist))
+
+
+def recording_sampler(dist):
+    """``dist`` with a sampler that records the name of each calling thread."""
+    names = []
+
+    def sampler(rng, n):
+        names.append(threading.current_thread().name)
+        return dist.sampler(rng, n)
+
+    return dataclasses.replace(dist, sampler=sampler), names
+
+
+class TestConcurrentShards:
+    @pytest.fixture(scope="class")
+    def miso(self):
+        return make_miso_multiuser(2, 2)
+
+    def test_estimates_do_not_depend_on_worker_count(self, miso, monkeypatch):
+        # 4 shards: inline, two at a time, and more workers than shards
+        runs = {}
+        for workers in (1, 2, 9):
+            monkeypatch.setattr(mc, "_WORKERS", workers)
+            law, threads = recording_sampler(miso)
+            runs[workers] = miso22_estimates(law)
+            assert len(threads) == 4 * len(ALL_SCHEMES)
+            in_caller = threads.count(threading.current_thread().name)
+            assert in_caller == (len(threads) if workers == 1 else 0)
+        for field in dataclasses.fields(McEstimate):
+            values = {w: [getattr(e, field.name) for e in runs[w]] for w in runs}
+            assert values[1] == values[2] == values[9], field.name
+
+    def test_one_shard_runs_in_the_caller(self, miso, monkeypatch):
+        monkeypatch.setattr(mc, "_WORKERS", 4)
+        law, threads = recording_sampler(miso)
+        mc_capacity(law, Scheme.RA, 10.0, n_samples=SHARD_SIZE, seed=1)
+        assert threads == [threading.current_thread().name]
+
+    def test_concurrent_callers_match_sequential_calls(self, miso, monkeypatch):
+        # two callers share the pool, each with more workers than there are
+        # cores, and threads switch far more often than by default
+        monkeypatch.setattr(mc, "_WORKERS", 4)
+        sequential = [miso22_estimates(miso, seed) for seed in (4, 5)]
+        start = threading.Barrier(2, timeout=60)
+        concurrent = [None, None]
+
+        def caller(i):
+            start.wait()
+            concurrent[i] = miso22_estimates(miso, (4, 5)[i])
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert concurrent == sequential
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_its_own_pool(self, miso, monkeypatch):
+        monkeypatch.setattr(mc, "_WORKERS", 2)
+        expected = miso22_estimates(miso)  # the parent's pool now exists
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=_put_estimates, args=(miso, results))
+        child.start()
+        try:
+            got = results.get(timeout=60)  # drained before the join
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert got == expected
+        assert child.exitcode == 0
+
+    def test_shard_error_keeps_its_type(self, miso, monkeypatch):
+        monkeypatch.setattr(mc, "_WORKERS", 2)
+
+        def failing(rng, n):
+            if n == 17:  # the last, partial shard
+                raise ValueError("bad shard")
+            return miso.sampler(rng, n)
+
+        law = dataclasses.replace(miso, sampler=failing)
+        with pytest.raises(ValueError, match="bad shard"):
+            mc_capacity(law, Scheme.RA, 10.0, n_samples=2 * SHARD_SIZE + 17, seed=1)
 
 
 class TestAgainstQuadrature:

@@ -33,6 +33,8 @@ from fadecap.schemes import (
     tci_optimize,
 )
 
+import oracles  # perfbench/oracles.py; pyproject.toml puts perfbench/ on the path
+
 LN2 = math.log(2.0)
 OMEGA = 0.5671432904097838  # root of z e^z = 1
 
@@ -200,6 +202,26 @@ class TestOaCutoffSolve:
             solution = oa_threshold(rayleigh, S)
             assert abs(solution.residual) < 1e-9
             assert 0.0 < solution.z_t < 1.0 / S
+
+
+class TestGamma2ClosedForms:
+    """RA, CI, TCI and CTCI on gamma:N=2 against the benchmark's 30-digit oracles."""
+
+    # worst relative error measured from -60 to +90 dB in 5 dB steps at
+    # z_t = 0.7: RA 7.1e-12 (40 dB), CTCI 8.1e-13 (55 dB), TCI 2.0e-16,
+    # CI 1.1e-16; each gate is at most 3x that, with a 1e-15 floor
+    GATES = {"ra": 2.1e-11, "ci": 1e-15, "tci": 1e-15, "ctci": 2.4e-12}
+
+    @pytest.mark.parametrize("scheme", sorted(GATES))
+    def test_matches_closed_form_from_minus_60_to_90_db(self, gamma2, scheme):
+        worst = 0.0
+        for db in range(-60, 91, 5):
+            S = 10.0 ** (db / 10.0)
+            with mp.workdps(oracles.DPS):
+                ref = oracles.gamma2_capacity(scheme, S, 0.7)
+            got = capacity(gamma2, Scheme(scheme), S, z_t=0.7).capacity_nats
+            worst = max(worst, float(abs(got - ref) / ref))
+        assert worst <= self.GATES[scheme]
 
 
 class TestOaCapacity:
