@@ -25,13 +25,10 @@ import json
 import math
 import sys
 
-from scipy import special
-
 from . import verify as verify_mod
-from .asymptotics import gap_report, space_diversity_gaps
+from .asymptotics import gap_report
 from .distributions import DistributionSpec
 from .mc import mc_capacity
-from .numerics import EULER_MASCHERONI
 from .schemes import Scheme, capacity
 
 LN2 = math.log(2.0)
@@ -89,13 +86,16 @@ def parse_snr_grid(text: str) -> list[float]:
     """Single dB value, or inclusive start:stop:step."""
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) != 3:
+        if len(parts) not in (1, 3):
             raise ValueError
-        start, stop, step = (float(p) for p in parts)
+        values = [float(p) for p in parts]
     except ValueError:
         raise UsageError(f"bad SNR grid {text!r}; use a number or start:stop:step") from None
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"SNR grid {text!r} must be finite")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0.0:
         raise UsageError("SNR grid step must be positive")
     if start > stop:
@@ -104,7 +104,7 @@ def parse_snr_grid(text: str) -> list[float]:
     return [start + i * step for i in range(n)]
 
 
-def _parse_scheme_token(token: str, default_zt, zt_in_gamma: bool):
+def _parse_scheme_token(token: str, default_zt):
     """'oa', 'tci:zt=1.5', 'tci:opt', 'ctci:zt=2', ..."""
     name, _, option = token.partition(":")
     try:
@@ -128,7 +128,7 @@ def _parse_scheme_token(token: str, default_zt, zt_in_gamma: bool):
         raise UsageError(f"scheme {scheme.value} needs a threshold (zt=... or --zt)")
     if optimize and scheme is not Scheme.TCI:
         raise UsageError("':opt' threshold optimization applies to tci only")
-    return scheme, z_t, optimize, zt_in_gamma
+    return scheme, z_t, optimize
 
 
 def _json_safe(value):
@@ -144,24 +144,29 @@ def _emit_json(record: dict):
     print(json.dumps({k: _json_safe(v) for k, v in record.items()}))
 
 
-def _evaluate_point(dist, scheme, snr_db, z_t, optimize, zt_in_gamma):
-    S = 10.0 ** (snr_db / 10.0)
-    z_t_eff = z_t
-    if z_t is not None and zt_in_gamma:
-        z_t_eff = z_t / S
-    result = capacity(dist, scheme, S, z_t=z_t_eff, optimize_threshold=optimize)
-    return result
+def _operating_point(args, snr_db: float, z_t):
+    """Average power S at snr_db, and the threshold z_t in effective-gain units.
+
+    With ``--zt-units gamma`` the threshold is an instantaneous SNR
+    gamma_t = z_t * S, so it is divided by S.
+    """
+    try:
+        S = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise UsageError(f"SNR {snr_db:g} dB overflows the average power") from None
+    if z_t is not None and args.zt_units == "gamma":
+        z_t = z_t / S
+    return S, z_t
 
 
 def cmd_capacity(args) -> int:
     dist = parse_distribution_spec(args.dist).build()
-    scheme, z_t, optimize, in_gamma = _parse_scheme_token(
-        args.scheme, args.zt, args.zt_units == "gamma"
-    )
+    scheme, z_t, optimize = _parse_scheme_token(args.scheme, args.zt)
     grid = parse_snr_grid(args.snr_db)
     if len(grid) != 1:
         raise UsageError("'capacity' takes a single --snr-db value; use 'sweep' for grids")
-    result = _evaluate_point(dist, scheme, grid[0], z_t, optimize, in_gamma)
+    S, z_t = _operating_point(args, grid[0], z_t)
+    result = capacity(dist, scheme, S, z_t=z_t, optimize_threshold=optimize)
     _emit_json(
         {
             "scheme": result.scheme.value,
@@ -183,16 +188,15 @@ def cmd_sweep(args) -> int:
     tokens = [t for t in args.schemes.split(",") if t.strip()]
     if not tokens:
         raise UsageError("scheme list is empty")
-    parsed = [
-        _parse_scheme_token(t, args.zt, args.zt_units == "gamma") for t in tokens
-    ]
+    parsed = [_parse_scheme_token(t, args.zt) for t in tokens]
     grid = parse_snr_grid(args.snr_db)
     to_units = 1.0 if args.units == "nats" else 1.0 / LN2
 
     lines = ["snr_db,scheme,capacity,z_t,d_max"]
     for snr_db in grid:  # grid-major, schemes in the order given
-        for scheme, z_t, optimize, in_gamma in parsed:
-            result = _evaluate_point(dist, scheme, snr_db, z_t, optimize, in_gamma)
+        for scheme, z_t, optimize in parsed:
+            S, z_t_point = _operating_point(args, snr_db, z_t)
+            result = capacity(dist, scheme, S, z_t=z_t_point, optimize_threshold=optimize)
             z_field = "" if result.threshold_z_t is None else f"{result.threshold_z_t:.6g}"
             d_field = "" if result.d_max is None else f"{result.d_max:.6g}"
             lines.append(
@@ -209,61 +213,35 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gaps(args) -> int:
-    spec = parse_distribution_spec(args.dist)
-    dist = spec.build()
+    dist = parse_distribution_spec(args.dist).build()
     report = gap_report(dist)
     to_units = 1.0 if args.units == "nats" else 1.0 / LN2
 
     def conv(x: float) -> float:
         return x * to_units if math.isfinite(x) else x
 
-    record = {
-        "distribution": dist.name,
-        "units": args.units,
-        "gap_oa_ra": conv(report.gap_oa_ra),
-        "gap_awgn_oa": conv(report.gap_awgn_oa),
-        "gap_oa_ci": conv(report.gap_oa_ci),
-        "gap_awgn_ci": conv(report.gap_awgn_ci),
-    }
-    if spec.kind == "gamma_diversity" and spec.parameters.get("N", 0) >= 2:
-        exact = space_diversity_gaps(spec.parameters["N"])
-        record["closed_form"] = {
-            "gap_oa_ci": conv(exact.gap_oa_ci),
-            "gap_awgn_ci": conv(exact.gap_awgn_ci),
-            "expansion_oa_ci": conv(exact.expansion_oa_ci),
-            "expansion_awgn_ci": conv(exact.expansion_awgn_ci),
+    _emit_json(
+        {
+            "distribution": dist.name,
+            "units": args.units,
+            "gap_oa_ra": conv(report.gap_oa_ra),
+            "gap_awgn_oa": conv(report.gap_awgn_oa),
+            "gap_oa_ci": conv(report.gap_oa_ci),
+            "gap_awgn_ci": conv(report.gap_awgn_ci),
         }
-    elif spec.kind == "frechet":
-        alpha = spec.parameters["alpha"]
-        oa_ci = EULER_MASCHERONI / alpha + math.log(float(special.gamma(1.0 + 1.0 / alpha)))
-        awgn_ci = (
-            math.log(
-                float(special.gamma(1.0 - 1.0 / alpha)) * float(special.gamma(1.0 + 1.0 / alpha))
-            )
-            if alpha > 1.0
-            else math.inf
-        )
-        record["closed_form"] = {
-            "gap_oa_ci": conv(oa_ci),
-            "gap_awgn_ci": _json_safe(conv(awgn_ci)),
-        }
-    _emit_json(record)
+    )
     return 0
 
 
 def cmd_mc(args) -> int:
     dist = parse_distribution_spec(args.dist).build()
-    scheme, z_t, optimize, in_gamma = _parse_scheme_token(
-        args.scheme, args.zt, args.zt_units == "gamma"
-    )
+    scheme, z_t, optimize = _parse_scheme_token(args.scheme, args.zt)
     if optimize:
         raise UsageError("mc does not optimize thresholds; pass zt= explicitly")
     grid = parse_snr_grid(args.snr_db)
     if len(grid) != 1:
         raise UsageError("'mc' takes a single --snr-db value")
-    S = 10.0 ** (grid[0] / 10.0)
-    if z_t is not None and in_gamma:
-        z_t = z_t / S
+    S, z_t = _operating_point(args, grid[0], z_t)
     est = mc_capacity(dist, scheme, S, z_t=z_t, n_samples=args.samples, seed=args.seed)
     _emit_json(
         {
@@ -352,10 +330,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,10 +33,12 @@ no array allocation, which is the path adaptive quadrature takes one
 point at a time; an array argument returns an array of the same shape.
 
 Every expectation E[g(z)] goes through ``FadingDistribution.expect``,
-which picks its rule from the support alone: adaptive QUADPACK on an
-unbounded support, and on a bounded one a fixed Gauss-Legendre rule on
-the pieces between the law's knots. A tabulated law's knots are its
-grid, and a scaled law's are its base law's, scaled.
+moments included: a factory passes None for a moment with no closed
+form, and ``_validate`` integrates it through ``expect`` while the law
+is built. ``expect`` picks its rule from the support alone: adaptive
+QUADPACK on an unbounded support, and on a bounded one a fixed
+Gauss-Legendre rule on the pieces between the law's knots. A tabulated
+law's knots are its grid, and a scaled law's are its base law's, scaled.
 
 Distributions are immutable after construction; samplers take an
 explicit numpy Generator so callers own all random state. A sampler
@@ -53,7 +55,7 @@ draw in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -248,10 +250,24 @@ class FadingDistribution:
         )
 
 
+# Integrands of the moments a factory may leave as None. They take scalars:
+# only unbounded laws, which QUADPACK integrates point by point, leave one.
+_MOMENT_INTEGRANDS = {"mean": lambda z: z, "inverse_mean": lambda z: 1.0 / z, "log_mean": math.log}
+
+
 def _validate(dist: FadingDistribution) -> FadingDistribution:
-    """Construction-time sanity checks shared by all factories."""
+    """Construction-time sanity checks shared by all factories.
+
+    A moment the factory left as None has no closed form; it is integrated
+    here through ``expect`` to ``MOMENT_REL_TOL``, and the law returned
+    carries it.
+    """
     if abs(float(dist.cdf(0.0))) > 1e-12:
         raise ValueError(f"{dist.name}: cdf(0) must be 0")
+    integrated = {name: dist.expect(g) for name, g in _MOMENT_INTEGRANDS.items()
+                  if getattr(dist, name) is None}
+    if integrated:
+        dist = replace(dist, **integrated)
     # written as "not within" so that a NaN fails each check
     mass = dist.expect(rel_tol=1e-10)
     if not abs(mass - 1.0) <= _MASS_TOL:
@@ -318,8 +334,9 @@ def make_max_exponential(K) -> FadingDistribution:
 
     mean is the K-th harmonic number; diversity order K. E[1/z] and
     E[log z] have no stable closed form for general K (the alternating
-    binomial sums cancel catastrophically), so they are integrated
-    numerically, with exact overrides for K = 1, 2.
+    binomial sums cancel catastrophically), so from K = 3 up they are
+    left to ``_validate``, which integrates them through ``expect``;
+    K = 1, 2 have exact values.
     """
     K = _check_positive_int(K, "K")
 
@@ -344,12 +361,7 @@ def make_max_exponential(K) -> FadingDistribution:
         inverse_mean = 2.0 * math.log(2.0)
         log_mean = math.log(2.0) - EULER_MASCHERONI
     else:
-        inverse_mean = integrate_semi_infinite(
-            lambda z: pdf(z) / z, 0.0, MOMENT_REL_TOL, knots=knots
-        ).value
-        log_mean = integrate_semi_infinite(
-            lambda z: math.log(z) * pdf(z), 0.0, MOMENT_REL_TOL, knots=knots
-        ).value
+        inverse_mean = log_mean = None
 
     def sampler(rng, n):
         # -log1p(-u^(1/K)), worked in place on the one draw
@@ -436,8 +448,9 @@ def make_miso_multiuser(N, K) -> FadingDistribution:
 
     pdf K P(N,z)^(K-1) z^(N-1) e^(-z) / Gamma(N), cdf P(N,z)^K, with P
     the regularized lower incomplete Gamma. E[1/z] is finite iff
-    max(N, K) >= 2; moments have no closed form and are integrated
-    numerically. Diversity order N*K.
+    max(N, K) >= 2. The moments have no closed form, so they are left to
+    ``_validate``, which integrates them through ``expect``. Diversity
+    order N*K.
     """
     N = _check_positive_int(N, "N")
     K = _check_positive_int(K, "K")
@@ -458,26 +471,13 @@ def make_miso_multiuser(N, K) -> FadingDistribution:
 
     rough_center = N + math.log(K) + 1.0
     knots = (0.5 * N, rough_center, 2.0 * rough_center + 2.0)
-    mean = integrate_semi_infinite(
-        lambda z: z * pdf(z), 0.0, MOMENT_REL_TOL, knots=knots
-    ).value
-    if max(N, K) >= 2:
-        inverse_mean = integrate_semi_infinite(
-            lambda z: pdf(z) / z, 0.0, MOMENT_REL_TOL, knots=knots
-        ).value
-    else:
-        inverse_mean = math.inf
-    log_mean = integrate_semi_infinite(
-        lambda z: math.log(z) * pdf(z), 0.0, MOMENT_REL_TOL, knots=knots
-    ).value
-
     dist = FadingDistribution(
         name=f"miso_multiuser(N={N},K={K})",
         pdf=pdf,
         cdf=cdf,
-        mean=mean,
-        inverse_mean=inverse_mean,
-        log_mean=log_mean,
+        mean=None,
+        inverse_mean=None if max(N, K) >= 2 else math.inf,
+        log_mean=None,
         support_sup=math.inf,
         diversity_order=float(N * K),
         quad_knots=knots,

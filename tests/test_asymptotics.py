@@ -246,6 +246,10 @@ class TestLowSnrSlopes:
             assert ci <= ctci + 1e-12
             assert ctci <= ra + 1e-12
 
+    def test_ctci_slope_at_infinite_threshold_is_the_mean(self, gamma2):
+        # an infinite CTCI threshold is constant power: the slope of RA
+        assert low_snr_slope(gamma2, Scheme.CTCI, math.inf) == gamma2.mean
+
     def test_tci_slope_at_mean_dominates_awgn(self, gamma2):
         slope = low_snr_slope(gamma2, Scheme.TCI, gamma2.mean)
         assert slope >= gamma2.mean

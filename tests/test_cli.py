@@ -56,6 +56,27 @@ class TestSpecParsing:
         with pytest.raises(UsageError):
             parse_snr_grid("0:10:0")
 
+    @pytest.mark.parametrize("grid", ["0:inf:1", "-inf:0:1", "0:10:inf", "nan:10:1"])
+    def test_non_finite_grid_exits_2(self, capsys, grid):
+        code, out, err = run(
+            capsys,
+            ["sweep", "--dist", "gamma:N=2", "--schemes", "ci", f"--snr-db={grid}"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("command", ["capacity", "mc"])
+    def test_overflowing_snr_exits_2(self, capsys, command):
+        # 10^(4000/10) is beyond the largest float
+        code, out, err = run(
+            capsys,
+            [command, "--dist", "gamma:N=2", "--scheme", "ra", "--snr-db", "4000"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err
+
 
 class TestCapacityCommand:
     def test_ci_gamma2(self, capsys):
@@ -243,11 +264,14 @@ class TestGapsCommand:
         assert record["gap_oa_ci"] == pytest.approx(0.24928, abs=5e-4)
         assert record["gap_awgn_ci"] == pytest.approx(0.45943, abs=5e-4)
 
-    def test_gamma2_closed_forms_included(self, capsys):
+    def test_gamma2_matches_closed_forms(self, capsys):
+        # space diversity, N = 2: gap(OA, CI) = psi(2) = 1 - gamma_em nats,
+        # gap(AWGN, CI) = log 2 nats = 1 bit
         _, out, _ = run(capsys, ["gaps", "--dist", "gamma:N=2"])
         record = json.loads(out)
-        assert record["gap_awgn_ci"] == pytest.approx(1.0, abs=1e-6)
-        assert record["closed_form"]["expansion_awgn_ci"] == pytest.approx(1.0 / LN2)
+        assert "closed_form" not in record
+        assert record["gap_awgn_ci"] == pytest.approx(1.0, rel=1e-14)
+        assert record["gap_oa_ci"] == pytest.approx((1.0 - np.euler_gamma) / LN2, rel=1e-14)
 
     def test_degenerate_inversion_marked_infinite(self, capsys):
         code, out, _ = run(capsys, ["gaps", "--dist", "gamma:N=1"])
@@ -257,10 +281,14 @@ class TestGapsCommand:
         assert record["gap_awgn_ci"] == "inf"
 
     def test_frechet_closed_form(self, capsys):
+        # alpha = 2: gap(AWGN, CI) = log(Gamma(1/2) Gamma(3/2)) = log(pi/2),
+        # gap(OA, CI) = gamma_em/2 + log Gamma(3/2); K cancels from both
         _, out, _ = run(capsys, ["gaps", "--dist", "frechet:alpha=2,K=4", "--units", "nats"])
         record = json.loads(out)
-        assert record["closed_form"]["gap_awgn_ci"] == pytest.approx(
-            math.log(math.pi / 2.0), abs=1e-9
+        assert "closed_form" not in record
+        assert record["gap_awgn_ci"] == pytest.approx(math.log(math.pi / 2.0), rel=1e-14)
+        assert record["gap_oa_ci"] == pytest.approx(
+            0.5 * np.euler_gamma + math.lgamma(1.5), rel=1e-14
         )
 
 
@@ -275,6 +303,17 @@ class TestMcCommand:
         assert out1 == out2
         record = json.loads(out1)
         assert record["power_mean"] == 1.0
+
+    def test_threshold_in_snr_units(self, capsys):
+        # at 10 dB, S = 10 and gamma_t = 5 is z_t = 0.5 exactly
+        base = [
+            "mc", "--dist", "gamma:N=2", "--scheme", "ctci", "--snr-db", "10",
+            "--samples", "20000", "--seed", "3",
+        ]
+        _, out_gamma, _ = run(capsys, base + ["--zt", "5", "--zt-units", "gamma"])
+        _, out_z, _ = run(capsys, base + ["--zt", "0.5"])
+        assert out_gamma == out_z
+        assert json.loads(out_z)["n_samples"] == 20000
 
 
 # Recorded from `fadecap mc` with samplers that reduce through numpy's

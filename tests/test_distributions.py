@@ -2,13 +2,16 @@
 samplers and the tabulated/CSV path."""
 
 import math
+import sys
 import warnings
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import digamma
 
+from fadecap import distributions
 from fadecap.distributions import (
     DistributionSpec,
     FadingDistribution,
@@ -22,6 +25,9 @@ from fadecap.distributions import (
 )
 from fadecap.numerics import EULER_MASCHERONI, integrate_semi_infinite
 from fadecap.schemes import Scheme, capacity
+
+import oracles  # perfbench/oracles.py; pyproject.toml puts perfbench/ on the path
+import workloads
 
 GAMMA_EM = EULER_MASCHERONI
 
@@ -49,6 +55,9 @@ def builtin_dists():
 
 
 class TestGammaDiversity:
+    def test_tail_inverse_integral_from_zero_diverges_at_n1(self):
+        assert make_gamma_diversity(1).tail_inverse_integral(0.0) == math.inf
+
     def test_moments_n2(self):
         d = make_gamma_diversity(2)
         assert d.mean == 2.0
@@ -101,6 +110,10 @@ class TestMaxExponential:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             make_max_exponential(0)
+
+    def test_sample_without_size_is_a_float(self):
+        z = make_max_exponential(4).sample(np.random.default_rng(5))
+        assert type(z) is float and z > 0.0
 
     def test_no_cancellation_near_zero(self):
         # 1 - e^(-z) formed from exp(-z) is 0 below z = 1.1e-16 and loses
@@ -297,6 +310,74 @@ class TestBoundedRuleLowerEnd:
         assert tails == pytest.approx(record["T"], rel=rel, abs=0.0)
         heads = [law.head_mean(t) for t in (0.5, 1.0, 3.0, 8.0)]
         assert heads == pytest.approx(record["H"], rel=rel, abs=0.0)
+
+
+# (fadecap law, 30-digit oracle law). The MISO and max-exponential moments
+# are integrated through ``expect``, so the consistency checks below compare
+# them with themselves. The tabulated ones are exact per-segment sums, which
+# the fixed rule misses by 1e-13 on a grid whose density is positive at 0.
+MOMENT_CASES = {
+    "miso22": (partial(make_miso_multiuser, 2, 2), partial(oracles.miso_law, 2, 2)),
+    "miso12": (partial(make_miso_multiuser, 1, 2), partial(oracles.miso_law, 1, 2)),
+    "miso21": (partial(make_miso_multiuser, 2, 1), partial(oracles.miso_law, 2, 1)),
+    "maxexp4": (partial(make_max_exponential, 4), partial(oracles.maxexp_law, 4)),
+    "maxexp6": (partial(make_max_exponential, 6), partial(oracles.maxexp_law, 6)),
+}
+for _name, _grid in [*((f"tab{seed}", workloads.tab_grid(seed)) for seed in range(4)),
+                     ("tab_from_half", gamma_shape_grid(0.5).tolist()),
+                     ("tab_positive_at_0", exp_grid(top=20.0, n=60).tolist())]:
+    MOMENT_CASES[_name] = (partial(make_tabulated, _grid),
+                           partial(oracles.TabulatedLaw, _name, _grid))
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_CASES))
+def test_moments_match_30_digit_oracles(name):
+    # worst measured: 1.2e-15 (miso22 E[log z]), 1.1e-15 (tab3 E[log z])
+    build, oracle = MOMENT_CASES[name]
+    law, ref = build(), oracle()
+    with mpmath.workdps(oracles.DPS):
+        for got, exact in zip((law.mean, law.inverse_mean, law.log_mean),
+                              (ref.mean(), ref.inverse_mean(), ref.log_mean())):
+            if mpmath.isinf(exact):
+                assert got == math.inf
+            else:
+                assert float(abs(got - exact) / abs(exact)) <= 4e-15
+
+
+def test_construction_integrates_only_through_expect(monkeypatch):
+    # every integral a factory runs, its moments included, is one that
+    # FadingDistribution.expect asked for
+    calls = []
+
+    def watched(fn):
+        def wrapper(*args, **kwargs):
+            calls.append((fn.__name__, sys._getframe(1).f_code))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr in ("integrate_semi_infinite", "integrate_finite", "_integrate_pieces"):
+        monkeypatch.setattr(distributions, attr, watched(getattr(distributions, attr)))
+    builders = [
+        lambda: make_gamma_diversity(2),
+        lambda: make_max_exponential(1),
+        lambda: make_max_exponential(2),
+        lambda: make_max_exponential(4),
+        lambda: make_frechet(2.0, 4),
+        lambda: make_miso_multiuser(1, 1),
+        lambda: make_miso_multiuser(2, 2),
+        lambda: make_tabulated(gamma_shape_grid(0.0)),
+        lambda: make_tabulated(gamma_shape_grid(0.5)),
+        lambda: make_tabulated(exp_grid(top=20.0, n=60)),
+        lambda: make_miso_multiuser(2, 3).scaled(2.5),
+    ]
+    seen = set()
+    for build in builders:
+        calls.clear()
+        law = build()
+        assert calls and all(code is FadingDistribution.expect.__code__ for _, code in calls), \
+            law.name
+        seen.update(name for name, _ in calls)
+    assert seen == {"integrate_semi_infinite", "_integrate_pieces"}
 
 
 class TestSharedInvariants:

@@ -34,6 +34,7 @@ from fadecap.schemes import (
 )
 
 import oracles  # perfbench/oracles.py; pyproject.toml puts perfbench/ on the path
+import workloads
 
 LN2 = math.log(2.0)
 OMEGA = 0.5671432904097838  # root of z e^z = 1
@@ -375,12 +376,27 @@ class TestTciOptimize:
         assert best.capacity_nats >= caps[i] - 1e-9
         assert solution.z_t == pytest.approx(grid[i], rel=0.05)
 
+    @pytest.mark.parametrize("S", [1.0, 25.0])
+    def test_bounded_law_matches_30_digit_optimum(self, S):
+        # on a bounded support the default bracket ends at
+        # support_sup * (1 - 1e-9); measured error 4.4e-16 nats
+        grid = workloads.tab_grid(3)
+        law = make_tabulated(grid)
+        _, best = tci_optimize(law, S)
+        ref = oracles.TabulatedLaw("tab3", grid)
+        with mp.workdps(oracles.DPS):
+            _, ref_cap = oracles.tci_best(ref, S, 1e-4, float(ref.top) * (1 - 1e-9))
+        assert abs(best.capacity_nats - float(ref_cap)) <= 1e-12
+
 
 class TestCtci:
     def test_zero_threshold_is_inversion_exactly(self, gamma2):
         res = ctci_capacity(gamma2, 1.0, 0.0)
         assert res.capacity_nats == ci_capacity(gamma2, 1.0).capacity_nats
         assert math.isinf(res.d_max)
+
+    def test_zero_threshold_power_ratio_is_infinite(self, gamma2):
+        assert ctci_dmax(gamma2, 0.0) == math.inf
 
     def test_received_snr_limit_at_small_threshold(self, gamma2):
         z_t = 1e-7
