@@ -33,6 +33,10 @@ from .schemes import Scheme, capacity
 
 LN2 = math.log(2.0)
 
+# Most points a start:stop:step SNR grid may hold; a sweep computes every
+# scheme at each of them.
+MAX_SNR_GRID_POINTS = 100_000
+
 _KIND_ALIASES = {
     "gamma": "gamma_diversity",
     "gamma_diversity": "gamma_diversity",
@@ -83,7 +87,8 @@ def parse_distribution_spec(text: str) -> DistributionSpec:
 
 
 def parse_snr_grid(text: str) -> list[float]:
-    """Single dB value, or inclusive start:stop:step."""
+    """Single dB value, or inclusive start:stop:step of at most
+    ``MAX_SNR_GRID_POINTS`` points."""
     parts = text.split(":")
     try:
         if len(parts) not in (1, 3):
@@ -100,8 +105,11 @@ def parse_snr_grid(text: str) -> list[float]:
         raise UsageError("SNR grid step must be positive")
     if start > stop:
         raise UsageError("SNR grid start must not exceed stop")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(n)]
+    # counted before the list is built; the span is inf when it overflows
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_SNR_GRID_POINTS:
+        raise UsageError(f"SNR grid {text!r} has more than {MAX_SNR_GRID_POINTS} points")
+    return [start + i * step for i in range(int(span) + 1)]
 
 
 def _parse_scheme_token(token: str, default_zt):

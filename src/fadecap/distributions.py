@@ -10,6 +10,10 @@ exact sampler.
 
 E[1/z] may be infinite (e.g. single-antenna Rayleigh); channel-inversion
 style schemes consult ``inverse_mean_finite`` and degrade gracefully.
+Truncated inversion depends on the law through F and the tail functional
+T(t) = E[1/z; z > t]; a law may carry T in closed form (gamma and
+tabulated laws do, and a scaled law maps its base law's), and otherwise T
+is integrated through ``expect``.
 Heavy-tailed gains may have infinite E[z]; ``mean_finite`` flags the
 resulting inconsistency with a finite-average-power link budget.
 
@@ -54,8 +58,10 @@ draw in place.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal, localcontext
 from typing import Callable, Optional
 
 import numpy as np
@@ -156,7 +162,15 @@ def _reduce_last_axis(ufunc, a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, repr=False)
 class FadingDistribution:
-    """Immutable effective-gain law: density, CDF, moments, sampler."""
+    """Immutable effective-gain law: density, CDF, moments, sampler.
+
+    ``mean``, ``inverse_mean`` and ``log_mean`` are closed forms where the
+    factory has them (a factory passes None otherwise, and ``_validate``
+    integrates the moment). ``tail_inverse`` gives T(t) = E[1/z; z > t]
+    for t > 0 without integrating this law's density: a closed form, or
+    for a scaled law the base law's T. When it is None,
+    ``tail_inverse_integral`` integrates T through ``expect``.
+    """
 
     name: str
     pdf: Callable
@@ -168,6 +182,7 @@ class FadingDistribution:
     diversity_order: float
     quad_knots: tuple = ()
     sampler: Callable = None
+    tail_inverse: Optional[Callable] = None
 
     def __repr__(self):
         return f"FadingDistribution({self.name})"
@@ -208,10 +223,17 @@ class FadingDistribution:
         return integrate_finite(f, lower, upper, rel_tol, knots=self.quad_knots).value
 
     def tail_inverse_integral(self, t: float) -> float:
-        """Integral of pdf(z)/z over [t, support top)."""
+        """T(t): integral of pdf(z)/z over [t, support top); T(0) = E[1/z].
+
+        The law's ``tail_inverse`` when it has one (a closed form, or a
+        scaled law's map of its base law's T), and an integral through
+        ``expect`` otherwise.
+        """
         t = max(t, 0.0)
         if t == 0.0 and not self.inverse_mean_finite:
             return math.inf
+        if self.tail_inverse is not None:
+            return self.tail_inverse(t)
         return self.expect(lambda z: 1.0 / z, lo=t)
 
     def head_mean(self, t: float) -> float:
@@ -225,7 +247,11 @@ class FadingDistribution:
         return self.sampler(rng, int(size))
 
     def scaled(self, c: float) -> "FadingDistribution":
-        """The law of c * z for finite c > 0 (exact moment transforms)."""
+        """The law of c * z for finite c > 0 (exact moment transforms).
+
+        T maps as T_c(t) = T(t / c) / c, with T the base law's, in closed
+        form or integrated, so a scaled law is scale-consistent to rounding.
+        """
         if not 0.0 < c < math.inf:
             raise ValueError(f"scale must be finite and positive, got {c}")
         base = self
@@ -247,6 +273,7 @@ class FadingDistribution:
             diversity_order=base.diversity_order,
             quad_knots=tuple(c * k for k in base.quad_knots),
             sampler=scaled_sampler,
+            tail_inverse=lambda t: base.tail_inverse_integral(t / c) / c,
         )
 
 
@@ -260,7 +287,7 @@ def _validate(dist: FadingDistribution) -> FadingDistribution:
 
     A moment the factory left as None has no closed form; it is integrated
     here through ``expect`` to ``MOMENT_REL_TOL``, and the law returned
-    carries it.
+    carries it. A closed-form mean is cross-checked by quadrature.
     """
     if abs(float(dist.cdf(0.0))) > 1e-12:
         raise ValueError(f"{dist.name}: cdf(0) must be 0")
@@ -272,7 +299,8 @@ def _validate(dist: FadingDistribution) -> FadingDistribution:
     mass = dist.expect(rel_tol=1e-10)
     if not abs(mass - 1.0) <= _MASS_TOL:
         raise ValueError(f"{dist.name}: density mass {mass} deviates from 1")
-    if dist.mean_finite:
+    # a mean integrated above would only be checked against itself
+    if dist.mean_finite and "mean" not in integrated:
         mean_quad = dist.expect(lambda z: z, rel_tol=1e-10)
         if not abs(mean_quad - dist.mean) <= _MEAN_CROSS_CHECK_RTOL * max(abs(dist.mean), 1.0):
             raise ValueError(
@@ -291,14 +319,34 @@ def _check_positive_int(value, name: str, minimum: int = 1) -> int:
     return int(value)
 
 
+# Below this t, e^-t is a normal float and the gamma law's tail functional
+# is summed term by term.
+_POISSON_SUM_MAX_T = 700.0
+
+
 def make_gamma_diversity(N) -> FadingDistribution:
     """Sum of N unit-rate exponentials: N-antenna beamforming gain.
 
     mean N, E[1/z] = 1/(N-1) for N >= 2 (infinite at N = 1),
-    E[log z] = psi(N), diversity order N.
+    E[log z] = psi(N), diversity order N. The tail functional is
+    T(t) = Q(N-1, t)/(N-1) with Q the regularized upper incomplete Gamma,
+    and E1(t) at N = 1.
     """
     N = _check_positive_int(N, "N")
     lg = special.gammaln(N)
+
+    def tail_inverse(t):
+        if N == 1:
+            return float(special.exp1(t))
+        if t > _POISSON_SUM_MAX_T:
+            return float(special.gammaincc(N - 1, t)) / (N - 1)
+        # For an integer order Q(N-1, t) = e^-t sum_{k < N-1} t^k / k!, a sum
+        # of positive terms; scipy's gammaincc is 1e-13 off past t = 60.
+        term = total = math.exp(-t)
+        for k in range(1, N - 1):
+            term *= t / k
+            total += term
+        return total / (N - 1)
 
     def pdf(z):
         return _as_float_or_array(
@@ -321,6 +369,7 @@ def make_gamma_diversity(N) -> FadingDistribution:
         diversity_order=float(N),
         quad_knots=(0.5 * N, float(N), 2.0 * N + 2.0),
         sampler=lambda rng, n: _reduce_last_axis(np.add, rng.standard_exponential((n, N))),
+        tail_inverse=tail_inverse,
     )
     return _validate(dist)
 
@@ -496,13 +545,34 @@ def make_miso_multiuser(N, K) -> FadingDistribution:
 class _TabulatedLaw:
     """Exact integrals and inverse-CDF sampling for a piecewise-linear pdf."""
 
-    def __init__(self, z: np.ndarray, p: np.ndarray):
+    def __init__(self, z: np.ndarray, grid_p: np.ndarray, mass: float):
+        """``grid_p`` is the density as given, ``mass`` its trapezoid mass."""
         self.z = z
-        self.p = p
+        self.p = grid_p / mass
         h = np.diff(z)
-        seg_mass = 0.5 * (p[:-1] + p[1:]) * h
+        seg_mass = 0.5 * (self.p[:-1] + self.p[1:]) * h
         self.cum = np.concatenate(([0.0], np.cumsum(seg_mass)))
-        self.cum[-1] = 1.0  # renormalized upstream; pin the top exactly
+        self.cum[-1] = 1.0  # the density is renormalized; pin the top exactly
+        self._z_list, self._grid_p = z.tolist(), grid_p.tolist()
+        self._tail, self._tail_lo, self._exact_mass = _grid_tails(self._z_list, self._grid_p)
+
+    def tail_inverse(self, t: float) -> float:
+        """T(t) for t >= 0: the part of the segment holding t, divided by the
+        grid's exact mass, plus T at the segment's top, added to its low
+        part first so that the sum is rounded once."""
+        zs = self._z_list
+        k = bisect.bisect_right(zs, t) - 1
+        if k < 0:
+            return self._tail[0]
+        if k >= len(zs) - 1:
+            return 0.0
+        a, b = zs[k], zs[k + 1]
+        if t == a:
+            return self._tail[k]
+        pa, pb = self._grid_p[k], self._grid_p[k + 1]
+        pt = (pa * (b - t) + pb * (t - a)) / (b - a)
+        part = _inverse_segment(t, b, pt, pb) / self._exact_mass
+        return self._tail[k + 1] + (part + self._tail_lo[k + 1])
 
     def pdf(self, x):
         # NaN is mapped below the grid, where the density is 0
@@ -517,8 +587,8 @@ class _TabulatedLaw:
         out = self.cum[idx] + self.p[idx] * u + 0.5 * slope * u * u
         return np.clip(np.where(x >= self.z[-1], 1.0, out), 0.0, 1.0)
 
-    def _segment_moments(self):
-        """Per-segment exact integrals of z*p(z), p(z)/z and log(z)*p(z)."""
+    def moments(self):
+        """Exact E[z], E[1/z] and E[log z], summed over the segments."""
         z1, z2 = self.z[:-1], self.z[1:]
         p1, p2 = self.p[:-1], self.p[1:]
         h = z2 - z1
@@ -527,26 +597,8 @@ class _TabulatedLaw:
         mean_terms = z1 * p1 * h + 0.5 * z1 * m * h**2 + 0.5 * p1 * h**2 + m * h**3 / 3.0
 
         c0 = p1 - m * z1  # p(z) = c0 + c1 z with c1 = m
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_terms = np.where(
-                z1 > 0.0, c0 * np.log(z2 / np.where(z1 > 0, z1, 1.0)) + m * h, np.inf
-            )
-        if self.z[0] == 0.0:
-            # On [0, z2] the density is c0 + m z; the 1/z integral is
-            # finite only if the density vanishes at the origin.
-            inv_terms[0] = m[0] * h[0] if self.p[0] == 0.0 else np.inf
-
-        log_terms = np.empty_like(h)
-        for i in range(len(h)):
-            log_terms[i] = _log_segment(c0[i], m[i], z1[i], z2[i])
-        return mean_terms, inv_terms, log_terms
-
-    def moments(self):
-        mean_terms, inv_terms, log_terms = self._segment_moments()
-        mean = float(np.sum(mean_terms))
-        inverse_mean = float(np.sum(inv_terms)) if np.all(np.isfinite(inv_terms)) else math.inf
-        log_mean = float(np.sum(log_terms))
-        return mean, inverse_mean, log_mean
+        log_terms = [_log_segment(*args) for args in zip(c0, m, z1, z2)]
+        return float(np.sum(mean_terms)), self._tail[0], float(np.sum(log_terms))
 
     def sample(self, rng, n: int) -> np.ndarray:
         u = rng.random(n)
@@ -565,6 +617,72 @@ class _TabulatedLaw:
         return z0 + np.clip(t, 0.0, h)
 
 
+# Decimal digits carried while T is summed at the grid points. The oracle
+# carries 30; near the top of a grid log(b/a) loses 16 of them.
+_GRID_TAIL_DIGITS = 50
+
+
+def _grid_tails(z: list, p: list) -> tuple:
+    """T at each grid point for the piecewise-linear density through (z, p).
+
+    Each segment's integral c0 log(b/a) + c1 (b - a) of (c0 + c1 z)/z, the
+    sums from the top and the division by the grid's trapezoid mass are
+    carried to ``_GRID_TAIL_DIGITS`` decimal digits, so no rounding of the
+    renormalized density reaches T. Returns T rounded to a float at each
+    point, the remainder each rounding left, and the mass as a float. The
+    first T is E[1/z]: inf when the density is positive at z = 0.
+    """
+    tails, lows = [0.0] * len(z), [0.0] * len(z)
+    with localcontext() as ctx:
+        ctx.prec = _GRID_TAIL_DIGITS
+        zd, pd = [Decimal(v) for v in z], [Decimal(v) for v in p]
+        mass = sum((pd[i] + pd[i + 1]) * (zd[i + 1] - zd[i]) for i in range(len(z) - 1)) / 2
+        total = Decimal(0)
+        for i in range(len(z) - 2, -1, -1):
+            a, b, pa, pb = zd[i], zd[i + 1], pd[i], pd[i + 1]
+            if a == 0:
+                if pa > 0:
+                    tails[i] = math.inf
+                    break
+                total += pb
+            else:
+                c1 = (pb - pa) / (b - a)
+                total += (pa - c1 * a) * (b / a).ln() + c1 * (b - a)
+            tail = total / mass
+            tails[i] = float(tail)
+            lows[i] = float(tail - Decimal(tails[i]))
+    return tails, lows, float(mass)
+
+
+# Terms of the series for R below, summed where u <= 1/3: the first one
+# left out is under 1e-17 of R.
+_ATANH_SERIES_TERMS = 17
+
+
+def _inverse_segment(a: float, b: float, pa: float, pb: float) -> float:
+    """Integral of p(z)/z over [a, b], 0 < a < b, for p linear from pa to pb.
+
+    With h = b - a and g(d) = d - log1p(d) it is
+    (pa b g(-h/b) + pb a g(h/a)) / h, two nonnegative terms. In
+    u = h/(a + b) and R = (atanh(u) - u)/u^3 = 1/3 + u^2/5 + u^4/7 + ...
+    the weights of pa and pb are u (1 + u (1 + u) R) and u (1 - u (1 - u) R).
+    For b <= 2a (u <= 1/3) h is exact and R is summed as its series, so no
+    digits go to forming b/a and subtracting 1, which next to the top of a
+    grid loses most of them. A wider segment has L = log(b/a) >= log 2,
+    and b L - h and h - a L keep over a quarter of their terms.
+    """
+    h = b - a
+    if b <= 2.0 * a:
+        u = h / (a + b)
+        v = u * u
+        r = 0.0
+        for k in range(_ATANH_SERIES_TERMS - 1, -1, -1):
+            r = 1.0 / (2 * k + 3) + v * r
+        return u * (pa + pb + u * r * ((pa - pb) + u * (pa + pb)))
+    log_ratio = math.log(b / a)
+    return (pa * (b * log_ratio - h) + pb * (h - a * log_ratio)) / h
+
+
 def _log_segment(c0: float, c1: float, z1: float, z2: float) -> float:
     """Integral of (c0 + c1 z) log z over [z1, z2], z1 >= 0."""
 
@@ -581,7 +699,8 @@ def make_tabulated(grid) -> FadingDistribution:
 
     The grid must hold at least 4 strictly increasing z >= 0 with
     nonnegative density values; the density is renormalized to unit
-    mass. Moments are exact per-segment integrals, other expectations
+    mass. Moments and the tail functional T are exact per-segment
+    integrals (E[1/z] is T at the grid's first point), other expectations
     take the fixed rule on each segment, sampling inverts the
     piecewise-quadratic CDF, and the diversity order is estimated from
     the log-log slope of the CDF over the 5 smallest usable grid points.
@@ -601,9 +720,8 @@ def make_tabulated(grid) -> FadingDistribution:
     mass = float(np.sum(0.5 * (p[:-1] + p[1:]) * np.diff(z)))
     if mass <= 0.0:
         raise ValueError("tabulated grid has zero total mass")
-    p /= mass
 
-    law = _TabulatedLaw(z, p)
+    law = _TabulatedLaw(z, p, mass)
     mean, inverse_mean, log_mean = law.moments()
 
     cdf_vals = law.cum
@@ -627,6 +745,7 @@ def make_tabulated(grid) -> FadingDistribution:
         diversity_order=slope,
         quad_knots=tuple(z),
         sampler=law.sample,
+        tail_inverse=law.tail_inverse,
     )
     return _validate(dist)
 

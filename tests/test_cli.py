@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from fadecap.cli import main, parse_distribution_spec, parse_snr_grid, UsageError
+from fadecap.cli import (
+    MAX_SNR_GRID_POINTS,
+    UsageError,
+    main,
+    parse_distribution_spec,
+    parse_snr_grid,
+)
 
 LN2 = math.log(2.0)
 
@@ -65,6 +71,23 @@ class TestSpecParsing:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    # 1e18 points; a span that overflows to inf; a stop - start that does
+    @pytest.mark.parametrize("grid", ["0:1e9:1e-9", "0:1e300:1e-300", "-1e308:1e308:1"])
+    def test_oversized_grid_exits_2(self, capsys, grid):
+        code, out, err = run(
+            capsys,
+            ["sweep", "--dist", "gamma:N=2", "--schemes", "ci", f"--snr-db={grid}"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "points" in err
+
+    def test_grid_size_cap_is_inclusive(self):
+        cap = MAX_SNR_GRID_POINTS
+        assert len(parse_snr_grid(f"0:{cap - 1}:1")) == cap
+        with pytest.raises(UsageError, match="points"):
+            parse_snr_grid(f"0:{cap}:1")
 
     @pytest.mark.parametrize("command", ["capacity", "mc"])
     def test_overflowing_snr_exits_2(self, capsys, command):

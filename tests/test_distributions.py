@@ -4,11 +4,13 @@ samplers and the tabulated/CSV path."""
 import math
 import sys
 import warnings
-from functools import partial
+from functools import cache, partial
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import digamma
 
 from fadecap import distributions
@@ -256,6 +258,8 @@ LOWER_END_LAWS = {
 # Recorded while the bounded rule still integrated from 0 up to a grid's
 # first point: capacities of OA, RA, CI, TCI and CTCI (z_t = 1) at
 # S = 0.1, 10 and 1000, T(t) at t = 0, 0.5, 1, 3 and H(t) at t = 0.5, 1, 3, 8.
+# Three "zero" values were recorded again when T became an exact segment
+# sum, each nearer the 30-digit oracle: CI at S = 0.1 and 1000 and T(3).
 LOWER_END_RECORDS = {
     "off": {
         "caps": [
@@ -268,11 +272,11 @@ LOWER_END_RECORDS = {
     },
     "zero": {
         "caps": [
-            [0.24309675993420307, 0.17604501014943333, 0.09924743494198669, 0.17684356238041907, 0.13328265002070977],
+            [0.24309675993420307, 0.17604501014943333, 0.09924743494198672, 0.17684356238041907, 0.13328265002070977],
             [2.827079408283784, 2.822341153229344, 2.4365871568118664, 2.4697825454853004, 2.6883954319536487],
-            [7.343200069630935, 7.343198009134985, 6.951193221151318, 5.859195485533611, 7.21653859328779],
+            [7.343200069630935, 7.343198009134985, 6.9511932211513185, 5.859195485533611, 7.21653859328779],
         ],
-        "T": [0.9584096416599809, 0.6086608593174793, 0.3714611267665929, 0.05028430536467674],
+        "T": [0.9584096416599809, 0.6086608593174793, 0.3714611267665929, 0.050284305364676735],
         "H": [0.027687024891211512, 0.15904882684412947, 1.16361946284979, 1.9966482093044233],
     },
     "scaled": {
@@ -344,6 +348,112 @@ def test_moments_match_30_digit_oracles(name):
                 assert float(abs(got - exact) / abs(exact)) <= 4e-15
 
 
+# T(t) = E[1/z; z > t] in closed form, against 30-digit oracles: gamma
+# Q(N-1, t)/(N-1) (E1(t) at N = 1) and the tabulated exact segment sums.
+GAMMA_TAIL_POINTS = [*np.geomspace(1e-9, 700.0, 45), 0.5, 1.0, 2.0, 3.0, 10.0, 60.0]
+
+
+def _rel_err(got, exact):
+    return float(abs(got - exact) / abs(exact))
+
+
+def _gamma_tail_oracle(N, t):
+    if N == 1:
+        return mpmath.e1(t)
+    return mpmath.gammainc(N - 1, t, regularized=True) / (N - 1)
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_gamma_tail_functional_matches_30_digit_oracle(N):
+    # worst measured: 1.1e-15 (N = 1, E1 from scipy), 2.8e-16 otherwise
+    law = make_gamma_diversity(N)
+    with mpmath.workdps(oracles.DPS):
+        for t in GAMMA_TAIL_POINTS:
+            assert _rel_err(law.tail_inverse_integral(t), _gamma_tail_oracle(N, t)) <= 4e-15, t
+
+
+@pytest.mark.parametrize("N, c", [(1, 0.2), (3, 2.5), (6, 40.0)])
+def test_scaled_gamma_tail_functional_matches_30_digit_oracle(N, c):
+    # the scaled law evaluates its base law at the float t / c, as its
+    # density does; the oracle is taken at the same point
+    law = make_gamma_diversity(N).scaled(c)
+    with mpmath.workdps(oracles.DPS):
+        for t in (c * s for s in GAMMA_TAIL_POINTS):
+            exact = _gamma_tail_oracle(N, t / c) / c
+            assert _rel_err(law.tail_inverse_integral(t), exact) <= 4e-15, t
+
+
+TAIL_GRIDS = {f"tab{seed}": workloads.tab_grid(seed) for seed in range(12)}
+TAIL_GRIDS["tab_from_half"] = gamma_shape_grid(0.5).tolist()
+TAIL_GRIDS["tab_positive_at_0"] = exp_grid(top=20.0, n=60).tolist()
+
+
+def _tabulated_tail_points(grid, c=1.0):
+    """t from 1e-9 to the support top: a log grid, the grid points (scaled)
+    and the float just below the top."""
+    top = c * grid[-1][0]
+    return [*np.geomspace(1e-9, top, 41)[:-1], *(c * z for z, _ in grid[:-1] if z > 0.0),
+            math.nextafter(top, 0.0)]
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_GRIDS))
+def test_tabulated_tail_functional_matches_30_digit_oracle(name):
+    # worst measured: 4.0e-16 (tab_positive_at_0), 3.1e-16 on the others.
+    # Next to the top, log(b/a) in the oracle loses 16 digits to forming
+    # b/a, so the oracle is built and run at 50.
+    grid = TAIL_GRIDS[name]
+    law = make_tabulated(grid)
+    with mpmath.workdps(50):
+        ref = oracles.TabulatedLaw(name, grid)
+        for t in _tabulated_tail_points(grid):
+            got = law.tail_inverse_integral(t)
+            assert math.isfinite(got) and _rel_err(got, ref.tail_inverse(mpmath.mpf(t))) <= 4e-15, t
+    if name == "tab_positive_at_0":
+        # p(0) > 0: E[1/z] diverges, T(t) is finite for every t > 0
+        assert law.inverse_mean == math.inf
+        assert law.tail_inverse_integral(0.0) == math.inf
+
+
+@pytest.mark.parametrize("name, c", [("tab1", 0.3), ("tab_from_half", 7.0)])
+def test_scaled_tabulated_tail_functional_matches_30_digit_oracle(name, c):
+    grid = TAIL_GRIDS[name]
+    law = make_tabulated(grid).scaled(c)
+    with mpmath.workdps(50):
+        ref = oracles.TabulatedLaw(name, grid)
+        for t in _tabulated_tail_points(grid, c):
+            exact = ref.tail_inverse(mpmath.mpf(t / c)) / c
+            assert _rel_err(law.tail_inverse_integral(t), exact) <= 4e-15, t
+
+
+SCALE_LAWS = {
+    "gamma1": lambda: make_gamma_diversity(1),
+    "gamma4": lambda: make_gamma_diversity(4),
+    "tab1": lambda: make_tabulated(TAIL_GRIDS["tab1"]),
+    "tab_from_half": lambda: make_tabulated(TAIL_GRIDS["tab_from_half"]),
+    # no closed form: T is integrated
+    "miso22": lambda: make_miso_multiuser(2, 2),
+    "maxexp4": lambda: make_max_exponential(4),
+    "frechet2": lambda: make_frechet(2.0, 4),
+}
+
+
+@cache
+def _scale_law(name):
+    return SCALE_LAWS[name]()
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SCALE_LAWS)), c=st.floats(1e-3, 1e3),
+       q=st.floats(1e-6, 0.9))
+def test_scaled_tail_functional_is_scale_consistent(name, c, q):
+    d = _scale_law(name)
+    # t stays where an ulp of t (c t / c need not give t back) moves T by
+    # under 25 ulps: up to 18 on unbounded laws, below 0.9 of a bounded top
+    t = q * min(d.support_sup, 20.0)
+    got = d.scaled(c).tail_inverse_integral(c * t)
+    assert got == pytest.approx(d.tail_inverse_integral(t) / c, rel=1e-14, abs=0.0)
+
+
 def test_construction_integrates_only_through_expect(monkeypatch):
     # every integral a factory runs, its moments included, is one that
     # FadingDistribution.expect asked for
@@ -378,6 +488,27 @@ def test_construction_integrates_only_through_expect(monkeypatch):
             law.name
         seen.update(name for name, _ in calls)
     assert seen == {"integrate_semi_infinite", "_integrate_pieces"}
+
+
+@pytest.mark.parametrize("build, calls", [
+    # E[z], E[1/z], E[log z] and the mass; the integrated mean is not
+    # integrated a second time to check it against itself
+    (lambda: make_miso_multiuser(2, 2), 4),
+    # E[1/z], E[log z], the mass and the closed-form mean's cross-check
+    (lambda: make_max_exponential(4), 4),
+    (lambda: make_gamma_diversity(2), 2),
+], ids=["miso22", "maxexp4", "gamma2"])
+def test_construction_expectation_count(monkeypatch, build, calls):
+    original = FadingDistribution.expect
+    seen = []
+
+    def counted(dist, *args, **kwargs):
+        seen.append(args)
+        return original(dist, *args, **kwargs)
+
+    monkeypatch.setattr(FadingDistribution, "expect", counted)
+    build()
+    assert len(seen) == calls
 
 
 class TestSharedInvariants:

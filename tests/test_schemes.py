@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import tanhsinh
 
-from fadecap import schemes
+from fadecap import distributions, schemes
 from fadecap.distributions import (
     FadingDistribution,
     make_gamma_diversity,
@@ -375,6 +375,29 @@ class TestTciOptimize:
         i = int(np.argmax(caps))
         assert best.capacity_nats >= caps[i] - 1e-9
         assert solution.z_t == pytest.approx(grid[i], rel=0.05)
+
+    @pytest.mark.parametrize("law, integrates", [
+        (lambda: _gamma_law(2), False),
+        (lambda: _tabulated_law(2.0), False),
+        (lambda: _scaled_gamma_law(3, 2.5), False),
+        (lambda: _miso_law(2, 2), True),
+    ], ids=["gamma2", "tabulated", "scaled_gamma3", "miso22"])
+    def test_cost_pin_integrals(self, monkeypatch, law, integrates):
+        # F and a closed-form T are all tci_optimize needs; a law without
+        # a closed-form T integrates it at every threshold tried
+        law = law()
+        calls = []
+
+        def watched(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for attr in ("integrate_semi_infinite", "integrate_finite", "_integrate_pieces"):
+            monkeypatch.setattr(distributions, attr, watched(getattr(distributions, attr)))
+        tci_optimize(law, 10.0)
+        assert bool(calls) == integrates
 
     @pytest.mark.parametrize("S", [1.0, 25.0])
     def test_bounded_law_matches_30_digit_optimum(self, S):
