@@ -1,20 +1,29 @@
 """Shared numerical kernels.
 
 Adaptive quadrature on finite and semi-infinite intervals, a fixed
-piecewise Gauss-Legendre rule for bounded supports, bracketed monotone
-root finding (Brent's method, or safeguarded Newton when the derivative
-is supplied) and unimodal 1-D maximization.
+piecewise Gauss-Legendre rule for bounded supports, survival-function
+tables for the tail integrals of a gain law, bracketed monotone root
+finding (Brent's method, or safeguarded Newton when the derivative is
+supplied) and unimodal 1-D maximization.
 
 The semi-infinite case maps [a, inf) onto [0, 1) with z = a + t/(1-t),
 so exponential, power-law and extreme-value tails are all handled by the
 same adaptive rule. Adaptive quadrature, derivative-free root finding
 and maximization are delegated to scipy (QUADPACK, Brent's root finder
 and bounded Brent minimization) behind the interfaces below; the fixed
-rule and the Newton iteration are implemented here.
+rule, the survival tables and the Newton iteration are implemented here.
+
+A ``SurvivalTable`` integrates a survival function sf = 1 - F once, on
+20-node Gauss-Legendre panels in u = log z, and keeps the sums of the
+panels from the top. Integration by parts writes the OA power constraint,
+the OA capacity and the RA capacity as integrals of sf alone, with
+positive integrands, so each is a table lookup plus one partial panel, or
+one dot product over the stored nodes.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -35,6 +44,18 @@ _QUAD_LIMIT = 250
 
 # Gauss-Legendre nodes and weights on [-1, 1] for each piece of the fixed rule
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+# Survival tables: 20-node Gauss-Legendre panels in u = log z, about
+# _PANELS_PER_UNIT of them to a unit of u. A table starts where F drops
+# below SF_TABLE_CUT and stops at the support top, or where the integral
+# of sf(y)/y dy above it drops below SF_TABLE_CUT.
+_SF_NODES, _SF_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_PANELS_PER_UNIT = 4
+SF_TABLE_CUT = 1e-20
+# The ends are searched on a grid of this step in u, inside |u| <= 700,
+# where z and 1/z stay normal floats.
+_END_STEP = 0.5
+_U_LIMIT = 700.0
 
 
 @dataclass(frozen=True)
@@ -184,6 +205,96 @@ def _integrate_pieces(
     mid = 0.5 * (hi + lo)
     values = f(mid[:, None] + half[:, None] * _GL_NODES)
     return float(np.sum(half * np.sum(values * _GL_WEIGHTS, axis=1)))
+
+
+def _sum_from_top(panels: np.ndarray) -> np.ndarray:
+    """Sums of ``panels[k:]`` for k = 0..n; the last is 0."""
+    return np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0]))
+
+
+class SurvivalTable:
+    """Tail integrals of a survival function sf = 1 - F, tabulated once.
+
+    Holds, at the edges of its panels, P(z) = integral of sf(y)/y^2 over
+    [z, inf), which is E[(1/z - 1/Z)+], and C(z) = integral of sf(y)/y,
+    which is E[log(Z/z); Z > z], and keeps sf times the weight at every
+    node. ``sf`` and ``cdf`` take arrays of z > 0; ``knots`` are points
+    where the law may be rough, and every panel lies between two of them.
+    Below the table's lower end ``lo`` F is under ``SF_TABLE_CUT``, so sf
+    is taken as 1 there and P, C and RA have closed forms; above its top
+    sf is taken as 0.
+    """
+
+    def __init__(self, sf: Callable, cdf: Callable, knots: Sequence[float] = (),
+                 top: float = math.inf):
+        self.sf = sf
+        positive = sorted(float(k) for k in knots if 0.0 < k < top)
+        self.lo = self._lower_end(cdf, positive)
+        u_lo = math.log(self.lo)
+        u_hi = math.log(top) if top < math.inf else self._upper_end(sf, positive)
+        breaks = [u_lo, *(math.log(k) for k in positive if u_lo < math.log(k) < u_hi), u_hi]
+        edges = [u_lo]
+        for a, b in zip(breaks[:-1], breaks[1:]):
+            n = max(1, math.ceil(_PANELS_PER_UNIT * (b - a)))
+            edges.extend(np.linspace(a, b, n + 1)[1:].tolist())
+        self.u_edges = edges
+        e = np.asarray(edges)
+        half = 0.5 * np.diff(e)[:, None]
+        y = np.exp(0.5 * (e[1:] + e[:-1])[:, None] + half * _SF_NODES)
+        w_sf = half * _SF_WEIGHTS * sf(y)
+        self.P_edges = _sum_from_top(np.sum(w_sf / y, axis=1))
+        self.C_edges = _sum_from_top(np.sum(w_sf, axis=1))
+        # C(lo) + log lo: E[log Z], to within the F < SF_TABLE_CUT below lo
+        self._log_mean = float(self.C_edges[0]) + math.log(self.lo)
+        self._neg_P = -self.P_edges
+        self._y, self._w_sf = y.ravel(), w_sf.ravel()
+
+    @staticmethod
+    def _lower_end(cdf, knots) -> float:
+        """The largest of the first knot (or 1) stepped down in u, and the
+        knots, at which F is below ``SF_TABLE_CUT``."""
+        ref = knots[0] if knots else 1.0
+        steps = np.arange(0.0, _U_LIMIT + math.log(ref), _END_STEP)
+        z = np.concatenate((ref * np.exp(-steps), knots))
+        below = z[np.asarray(cdf(z)) < SF_TABLE_CUT]
+        return float(below.max()) if below.size else float(z.min())
+
+    @staticmethod
+    def _upper_end(sf, knots) -> float:
+        """u of the first point above the last knot (or 1), stepped up in u,
+        past which a left sum of sf, an upper bound of the rest of
+        the integral of sf du for a decreasing sf, is below ``SF_TABLE_CUT``."""
+        u_ref = math.log(knots[-1]) if knots else 0.0
+        u = u_ref + np.arange(0.0, _U_LIMIT - u_ref, _END_STEP)
+        rest = _sum_from_top(_END_STEP * np.asarray(sf(np.exp(u))))[:-1]
+        small = np.nonzero(rest <= SF_TABLE_CUT)[0]
+        return float(u[small[0]] if small.size else u[-1])
+
+    def tails(self, z: float) -> tuple[float, float]:
+        """(P(z), C(z)) for z > 0: the sums above the panel holding z, plus
+        the part of that panel above z on its own 20 nodes."""
+        if z <= self.lo:
+            return float(self.P_edges[0] + (1.0 / z - 1.0 / self.lo)), self._log_mean - math.log(z)
+        u = math.log(z)
+        k = bisect.bisect_right(self.u_edges, u) - 1
+        if k >= len(self.u_edges) - 1:
+            return 0.0, 0.0
+        b = self.u_edges[k + 1]
+        half = 0.5 * (b - u)
+        y = np.exp(0.5 * (b + u) + half * _SF_NODES)
+        w_sf = half * _SF_WEIGHTS * self.sf(y)
+        return (float(self.P_edges[k + 1] + np.dot(w_sf, 1.0 / y)),
+                float(self.C_edges[k + 1] + np.sum(w_sf)))
+
+    def power_panel(self, p: float) -> int:
+        """Index k of the panel [u_edges[k], u_edges[k+1]] on which P falls
+        through p > 0, or -1 when p exceeds P at the lower end."""
+        return int(np.searchsorted(self._neg_P, -p, side="right")) - 1
+
+    def log1p_expectation(self, s: float) -> float:
+        """E[log(1 + s Z)] = integral of s sf(y)/(1 + s y) dy, for s > 0."""
+        sy = s * self._y
+        return math.log1p(s * self.lo) + float(np.dot(self._w_sf, sy / (1.0 + sy)))
 
 
 def find_root_monotone(

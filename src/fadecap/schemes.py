@@ -16,11 +16,16 @@ Schemes:
 * TCI  -- inversion above a threshold, silence (outage) below it.
 * CTCI -- inversion above a threshold, constant power below it; no
   outage, and it reduces to CI at threshold 0 and RA at threshold inf.
+
+OA and RA read the law's ``survival_table``: integrated by parts, the OA
+constraint E[(1/z_t - 1/z)+], the OA capacity E[log(z/z_t); z > z_t] and
+the RA capacity E[log(1 + S z)] need only the survival function 1 - F.
+TCI and CTCI use F and the tail functional T, and CTCI integrates its
+region below the cutoff through ``expect``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -83,29 +88,38 @@ def awgn_capacity(dist: FadingDistribution, S: float) -> CapacityResult:
 
 
 def _oa_power_integral(dist: FadingDistribution, S: float, z_t: float) -> float:
-    """E[D] for water-filling with cutoff z_t: the unit constraint's LHS."""
-    return dist.expect(
-        lambda z: (1.0 / z_t - 1.0 / z), lo=z_t, rel_tol=CAPACITY_REL_TOL
-    ) / S
+    """E[D] for water-filling with cutoff z_t, P(z_t) / S: the unit
+    constraint's LHS, read from the law's survival table."""
+    return dist.survival_table.tails(z_t)[0] / S
 
 
 def oa_threshold(dist: FadingDistribution, S: float) -> ThresholdSolution:
     """Water-filling cutoff from the average power constraint.
 
-    With P(z) = E[(1/z - 1/Z)+], the cutoff solves P(z_t) = S. It is found
-    by safeguarded Newton on psi(u) = log P(e^u) - log S in u = log z_t,
-    whose slope -(1 - F(z_t)) / (z_t P(z_t)) needs only the CDF and the P
-    just integrated. psi decreases in u; it is negative at the upper end
-    min(1/S, support top) and, by Jensen's inequality P(z) >= 1/z - E[1/Z],
-    non-negative at the lower end 1/(S + E[1/Z]). Where E[1/Z] diverges the
-    lower end is found by walking down from a quarter of the upper end.
-    Each cutoff is integrated once, though the solver revisits its points.
+    With P(z) = E[(1/z - 1/Z)+], the integral of (1 - F(y))/y^2 over
+    [z, inf), the cutoff solves P(z_t) = S. The survival table's sums of P
+    at its panel edges bracket the cutoff in one panel. Below the table's
+    lower end lo, F < ``numerics.SF_TABLE_CUT`` and P(z) = P(lo) + 1/z - 1/lo,
+    so the cutoff there is 1/(S - P(lo) + 1/lo) in closed form. Inside a panel it is
+    found by safeguarded Newton on psi(u) = log P(e^u) - log S in
+    u = log z_t, whose slope -(1 - F(z_t)) / (z_t P(z_t)) needs only the
+    survival function and the P just computed. ``iterations`` counts the
+    cutoffs whose partial panel was integrated; the panel's edges are read
+    from the table, and no point is integrated twice.
     """
     _check_power(S)
+    table = dist.survival_table
+    k = table.power_panel(S)
+    if k < 0:
+        z_t = 1.0 / (S - table.P_edges[0] + 1.0 / table.lo)
+        return ThresholdSolution(z_t, table.tails(z_t)[0] / S - 1.0, iterations=0)
+    u_lo, u_hi = table.u_edges[k], table.u_edges[k + 1]
+    known = {u_lo: table.P_edges[k] / S, u_hi: table.P_edges[k + 1] / S}
 
-    @functools.cache
     def power(u: float) -> float:
-        return _oa_power_integral(dist, S, math.exp(u))
+        if u not in known:
+            known[u] = _oa_power_integral(dist, S, math.exp(u))
+        return known[u]
 
     def psi(u: float) -> float:
         p = power(u)
@@ -113,37 +127,20 @@ def oa_threshold(dist: FadingDistribution, S: float) -> ThresholdSolution:
 
     def dpsi(u: float) -> float:
         z_t, p = math.exp(u), power(u)
-        return -(1.0 - float(dist.cdf(z_t))) / (z_t * S * p) if p > 0.0 else math.nan
+        return -float(table.sf(z_t)) / (z_t * S * p) if p > 0.0 else math.nan
 
-    u_hi = math.log(min(1.0 / S, dist.support_sup))
-    if psi(u_hi) > 0.0:
-        raise RuntimeError("power constraint not bracketed below its upper bound")
-    if dist.inverse_mean_finite:
-        u_lo = -math.log(S + dist.inverse_mean)
-    else:
-        u_lo = u_hi - math.log(4.0)
-        while psi(u_lo) <= 0.0:
-            u_hi = u_lo
-            u_lo -= math.log(32.0)
-            if u_lo < math.log(1e-300):
-                raise RuntimeError("failed to bracket the water-filling cutoff")
-    if psi(u_lo) > 0.0:
-        u_t = find_root_monotone(psi, Bracket(u_lo, u_hi), tol=1e-15, dg=dpsi)
-    else:
-        # psi >= 0 at the Jensen end exactly; where it reads 0 or below
-        # (high SNR puts the cutoff within an ulp of that end), the end is
-        # the cutoff to within that rounding
-        u_t = u_lo
+    u_t = find_root_monotone(psi, Bracket(u_lo, u_hi), tol=1e-15, dg=dpsi)
     return ThresholdSolution(
-        z_t=math.exp(u_t), residual=power(u_t) - 1.0, iterations=power.cache_info().misses
+        z_t=math.exp(u_t), residual=power(u_t) - 1.0, iterations=len(known) - 2
     )
 
 
 def oa_capacity(dist: FadingDistribution, S: float) -> CapacityResult:
-    """Optimal adaptive capacity: E[log(z / z_t)] above the solved cutoff."""
+    """Optimal adaptive capacity E[log(z / z_t); z > z_t] above the solved
+    cutoff: the survival table's integral of (1 - F(y))/y over [z_t, inf)."""
     solution = oa_threshold(dist, S)
     z_t = solution.z_t
-    cap = dist.expect(lambda z: np.log(z / z_t), lo=z_t, rel_tol=CAPACITY_REL_TOL)
+    cap = dist.survival_table.tails(z_t)[1]
     return CapacityResult(
         Scheme.OA,
         S,
@@ -154,9 +151,10 @@ def oa_capacity(dist: FadingDistribution, S: float) -> CapacityResult:
 
 
 def ra_capacity(dist: FadingDistribution, S: float) -> CapacityResult:
-    """Constant-power capacity E[log(1 + S z)]."""
+    """Constant-power capacity E[log(1 + S z)], the integral of
+    S (1 - F(y)) / (1 + S y), summed over the survival table's nodes."""
     _check_power(S)
-    cap = dist.expect(lambda z: np.log1p(S * z), rel_tol=CAPACITY_REL_TOL)
+    cap = dist.survival_table.log1p_expectation(S)
     return CapacityResult(Scheme.RA, S, _clip_capacity(cap))
 
 
@@ -276,12 +274,18 @@ def ctci_dmax(dist: FadingDistribution, z_t: float) -> float:
     return 1.0 / (float(dist.cdf(z_t)) + z_t * dist.tail_inverse_integral(z_t))
 
 
+# Ratio between the knots that split log1p(a z) on [0, z_t] (see ctci_capacity)
+_LOG1P_KNOT_RATIO = 1e3
+
+
 def ctci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityResult:
     """Continuous truncated inversion capacity.
 
     Integrates the constant-power region below the cutoff and adds the
     constant-rate contribution above it. Thresholds 0 and above the
-    support reproduce CI and RA exactly.
+    support reproduce CI and RA exactly. log1p(a z), a = S D_max, bends at
+    z = 1/a, which high SNR puts many decades below z_t; QUADPACK is given
+    knots a factor ``_LOG1P_KNOT_RATIO`` apart from z_t down past the bend.
     """
     _check_power(S)
     _check_ctci_threshold(z_t)
@@ -302,8 +306,10 @@ def ctci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityRes
     outage_cdf = float(dist.cdf(z_t))
     denom = outage_cdf + z_t * dist.tail_inverse_integral(z_t)
     d_max = 1.0 / denom
+    decades = math.ceil(math.log(S * d_max * z_t) / math.log(_LOG1P_KNOT_RATIO))
+    bends = z_t * _LOG1P_KNOT_RATIO ** -np.arange(1.0, max(decades, 0) + 1.0)
     below = dist.expect(
-        lambda z: np.log1p(S * d_max * z), hi=z_t, rel_tol=CAPACITY_REL_TOL
+        lambda z: np.log1p(S * d_max * z), hi=z_t, rel_tol=CAPACITY_REL_TOL, knots=bends
     )
     cap = below + (1.0 - outage_cdf) * math.log1p(S * d_max * z_t)
     residual = d_max * denom - 1.0

@@ -2,14 +2,17 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special
 
 from fadecap.numerics import (
     Bracket,
     BracketError,
     QuadratureError,
     QuadResult,
+    SurvivalTable,
     find_root_monotone,
     integrate_finite,
     integrate_semi_infinite,
@@ -250,3 +253,53 @@ class TestMaximizeUnimodal:
         x, v = maximize_unimodal(lambda x: min(x, 1.0), Bracket(lo, 3.0))
         assert (x, v) == (float(grid[grid >= 1.0][0]), 1.0)
 
+
+
+class TestSurvivalTable:
+    """P(z) = int_z^inf sf/y^2, C(z) = int_z^inf sf/y and E[log(1 + sZ)]
+    against closed forms, below, inside and above the table."""
+
+    def test_uniform_law_on_a_bounded_support(self):
+        # Z uniform on [1, 2]: F = 0 below 1, so the table starts there and
+        # sf = 1 below it exactly; it stops at the support top
+        # The nodes are exp(u), rounded, so sf = 2 - y next to the top is off
+        # by about an ulp of 2: 6.6e-14 relative on P(1.999) = 1.3e-7
+        table = SurvivalTable(lambda z: np.clip(2.0 - z, 0.0, 1.0),
+                              lambda z: np.clip(z - 1.0, 0.0, 1.0), knots=(1.0, 2.0), top=2.0)
+        assert table.lo == 1.0 and math.exp(table.u_edges[-1]) == pytest.approx(2.0)
+        with mp.workdps(30):
+            for z in (1e-9, 0.3, 1.0, 1.2, 1.7, 1.999, 2.0, 5.0):
+                x = mp.mpf(z)
+                if z <= 1.0:
+                    P, C = 1 / x - mp.log(2), 2 * mp.log(2) - 1 - mp.log(x)
+                else:
+                    x = min(x, 2)
+                    P, C = 2 / x - 1 - mp.log(2 / x), 2 * mp.log(2 / x) - (2 - x)
+                got = table.tails(z)
+                assert got[0] == pytest.approx(float(P), rel=1e-14, abs=1e-19), z
+                assert got[1] == pytest.approx(float(C), rel=1e-14, abs=1e-19), z
+        for s in (1e-6, 1.0, 1e6):
+            def anti(z):
+                return ((1.0 + s * z) * math.log1p(s * z) - s * z) / s
+            assert table.log1p_expectation(s) == pytest.approx(anti(2.0) - anti(1.0), rel=1e-14)
+
+    def test_exponential_law_from_below_its_lower_end_to_past_its_top(self):
+        # sf = e^-z: P = e^-z/z - E1(z) and C = E1(z)
+        table = SurvivalTable(lambda z: np.exp(-z), lambda z: -np.expm1(-z))
+        assert table.lo < 1e-19 and table.u_edges[-1] > math.log(40.0)
+        for z in (*np.geomspace(1e-25, 30.0, 40), 60.0):
+            P, C = table.tails(float(z))
+            assert P == pytest.approx(math.exp(-z) / z - special.exp1(z), rel=1e-14), z
+            assert C == pytest.approx(special.exp1(z), rel=1e-14, abs=1e-20), z
+        for s in (1e-6, 1.0, 1e9):
+            # E[log(1 + sZ)] = e^(1/s) E1(1/s)
+            with mp.workdps(30):
+                expected = float(mp.exp(1 / mp.mpf(s)) * mp.e1(1 / mp.mpf(s)))
+            assert table.log1p_expectation(s) == pytest.approx(expected, rel=1e-14)
+
+    def test_power_panel_brackets_the_level(self):
+        table = SurvivalTable(lambda z: np.exp(-z), lambda z: -np.expm1(-z))
+        assert table.power_panel(2.0 * table.P_edges[0]) == -1
+        for p in (1e-12, 1e-3, 1.0, 1e9):
+            k = table.power_panel(p)
+            assert table.P_edges[k] >= p > table.P_edges[k + 1]
