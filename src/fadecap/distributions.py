@@ -41,7 +41,8 @@ that keeps its digits where F is near 1 (``_validate`` checks
 sf + cdf = 1 at the law's knots). ``survival_table``, a
 ``numerics.SurvivalTable`` built from ``sf`` on the law's first use,
 gives the OA constraint, the OA capacity and the RA capacity with no
-quadrature.
+quadrature, and its nodes, with the density at them, give CTCI's region
+below its cutoff.
 
 Every other expectation E[g(z)] goes through ``FadingDistribution.expect``,
 moments included: a factory passes None for a moment with no closed
@@ -116,8 +117,9 @@ def _limit_at_inf(compute_pos) -> float:
 def _as_float_or_array(z, compute_pos, at_zero: float = 0.0):
     """Evaluate ``compute_pos`` on the finite z > 0 entries, filling the rest.
 
-    Accepts scalars or arrays; negative and NaN arguments map to 0,
-    z == 0 maps to ``at_zero`` (the continuous limit of the density
+    Accepts scalars or arrays; negative and NaN arguments map to 0 (a
+    survival function goes through ``_survival``, which maps negative ones
+    to 1), z == 0 maps to ``at_zero`` (the continuous limit of the density
     there) and z == +inf to the function's limit there (see
     ``_limit_at_inf``). A float argument (a Python float, or
     ``np.float64``) takes a direct path with no array allocation and
@@ -144,6 +146,15 @@ def _as_float_or_array(z, compute_pos, at_zero: float = 0.0):
     if at_inf.any():
         out[at_inf] = _limit_at_inf(compute_pos)
     return float(out[0]) if scalar else out
+
+
+def _survival(z, compute_pos):
+    """A survival function 1 - F through ``_as_float_or_array``: 1 at z <= 0,
+    where F is 0, ``compute_pos`` on the finite z > 0 and its limit at +inf.
+    NaN maps to 0, as it does for the density and the CDF."""
+    if isinstance(z, float):
+        return 1.0 if z < 0.0 else _as_float_or_array(z, compute_pos, 1.0)
+    return _as_float_or_array(np.maximum(z, 0.0), compute_pos, 1.0)
 
 
 # numpy sums an axis of fewer than 8 entries left to right and a longer one
@@ -181,7 +192,7 @@ class FadingDistribution:
     for t > 0 without integrating this law's density: a closed form, or
     for a scaled law the base law's T. When it is None,
     ``tail_inverse_integral`` integrates T through ``expect``. ``sf`` is
-    the survival function 1 - F for z >= 0, in a form that keeps its
+    the survival function 1 - F (1 below 0), in a form that keeps its
     digits where F is near 1; None means 1 - cdf.
     """
 
@@ -210,17 +221,16 @@ class FadingDistribution:
         return math.isfinite(self.mean)
 
     def expect(self, integrand=None, lo: float = 0.0, hi: float = None,
-               rel_tol: float = MOMENT_REL_TOL, knots=()) -> float:
+               rel_tol: float = MOMENT_REL_TOL) -> float:
         """Integral of integrand(z) * pdf(z) over [lo, hi] (hi=None: support top).
 
         On a bounded support a fixed Gauss-Legendre rule integrates each
         piece between ``quad_knots``: the knots must split the density into
         smooth pieces, a bounded law's first knot is its lower support end
         (the density is 0 below it), the integrand and the density must take
-        arrays, and ``rel_tol`` and ``knots`` are not used (a piece from the
-        origin is refined geometrically). On an unbounded support QUADPACK
-        integrates adaptively to ``rel_tol``, with subdivision forced at the
-        law's knots and at ``knots``, points where the integrand bends.
+        arrays, and ``rel_tol`` is not used (a piece from the origin is
+        refined geometrically). On an unbounded support QUADPACK integrates
+        adaptively to ``rel_tol``, with subdivision forced at the law's knots.
         """
         bounded = self.support_sup < math.inf
         upper = self.support_sup if hi is None else min(hi, self.support_sup)
@@ -233,10 +243,9 @@ class FadingDistribution:
             f = lambda z: integrand(z) * self.pdf(z)
         if bounded:
             return _integrate_pieces(f, lower, upper, self.quad_knots)
-        knots = (*self.quad_knots, *knots)
         if math.isinf(upper):
-            return integrate_semi_infinite(f, lower, rel_tol, knots=knots).value
-        return integrate_finite(f, lower, upper, rel_tol, knots=knots).value
+            return integrate_semi_infinite(f, lower, rel_tol, knots=self.quad_knots).value
+        return integrate_finite(f, lower, upper, rel_tol, knots=self.quad_knots).value
 
     @functools.cached_property
     def survival_table(self) -> SurvivalTable:
@@ -414,7 +423,7 @@ def make_gamma_diversity(N) -> FadingDistribution:
         return _as_float_or_array(z, lambda zp: special.gammainc(N, zp))
 
     def sf(z):
-        return _as_float_or_array(z, lambda zp: _poisson_tail(N, zp), at_zero=1.0)
+        return _survival(z, lambda zp: _poisson_tail(N, zp))
 
     dist = FadingDistribution(
         name=f"gamma_diversity(N={N})",
@@ -460,7 +469,7 @@ def make_max_exponential(K) -> FadingDistribution:
         return _as_float_or_array(z, lambda zp: np.exp(K * np.log(-np.expm1(-zp))))
 
     def sf(z):
-        return _as_float_or_array(z, lambda zp: -np.expm1(K * _log1mexp(zp)), at_zero=1.0)
+        return _survival(z, lambda zp: -np.expm1(K * _log1mexp(zp)))
 
     mean = _harmonic(K)
     knots = (0.5 * mean, mean, mean + 4.0)
@@ -529,7 +538,7 @@ def make_frechet(alpha: float, K=1) -> FadingDistribution:
         return _as_float_or_array(z, lambda zp: np.exp(-k_inv_power(zp)))
 
     def sf(z):
-        return _as_float_or_array(z, lambda zp: -np.expm1(-k_inv_power(zp)), at_zero=1.0)
+        return _survival(z, lambda zp: -np.expm1(-k_inv_power(zp)))
 
     mean = scale * float(special.gamma(1.0 - 1.0 / alpha)) if alpha > 1.0 else math.inf
 
@@ -593,7 +602,7 @@ def make_miso_multiuser(N, K) -> FadingDistribution:
                 log_p = np.where(p > 0.5, np.log1p(-q), np.log(p))
             return -np.expm1(K * log_p)
 
-        return _as_float_or_array(z, positive, at_zero=1.0)
+        return _survival(z, positive)
 
     rough_center = N + math.log(K) + 1.0
     knots = (0.5 * N, rough_center, 2.0 * rough_center + 2.0)
@@ -835,7 +844,7 @@ def make_tabulated(grid) -> FadingDistribution:
         quad_knots=tuple(z),
         sampler=law.sample,
         tail_inverse=law.tail_inverse,
-        sf=lambda x: _as_float_or_array(x, law.sf, at_zero=1.0),
+        sf=lambda x: _survival(x, law.sf),
     )
     return _validate(dist)
 

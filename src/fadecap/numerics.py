@@ -18,7 +18,9 @@ A ``SurvivalTable`` integrates a survival function sf = 1 - F once, on
 panels from the top. Integration by parts writes the OA power constraint,
 the OA capacity and the RA capacity as integrals of sf alone, with
 positive integrands, so each is a table lookup plus one partial panel, or
-one dot product over the stored nodes.
+one dot product over the stored nodes. An integral of g times the density
+from the table's lower end up to a point (CTCI's region below its cutoff)
+takes the same nodes, with the density evaluated at each query.
 """
 
 from __future__ import annotations
@@ -217,9 +219,10 @@ class SurvivalTable:
 
     Holds, at the edges of its panels, P(z) = integral of sf(y)/y^2 over
     [z, inf), which is E[(1/z - 1/Z)+], and C(z) = integral of sf(y)/y,
-    which is E[log(Z/z); Z > z], and keeps sf times the weight at every
-    node. ``sf`` and ``cdf`` take arrays of z > 0; ``knots`` are points
-    where the law may be rough, and every panel lies between two of them.
+    which is E[log(Z/z); Z > z], and keeps every node with its weight and
+    with sf times it. ``sf`` and ``cdf`` take arrays of z > 0; ``knots``
+    are points where the law may be rough, and every panel lies between
+    two of them.
     Below the table's lower end ``lo`` F is under ``SF_TABLE_CUT``, so sf
     is taken as 1 there and P, C and RA have closed forms; above its top
     sf is taken as 0.
@@ -241,13 +244,14 @@ class SurvivalTable:
         e = np.asarray(edges)
         half = 0.5 * np.diff(e)[:, None]
         y = np.exp(0.5 * (e[1:] + e[:-1])[:, None] + half * _SF_NODES)
-        w_sf = half * _SF_WEIGHTS * sf(y)
+        w = half * _SF_WEIGHTS
+        w_sf = w * sf(y)
         self.P_edges = _sum_from_top(np.sum(w_sf / y, axis=1))
         self.C_edges = _sum_from_top(np.sum(w_sf, axis=1))
         # C(lo) + log lo: E[log Z], to within the F < SF_TABLE_CUT below lo
         self._log_mean = float(self.C_edges[0]) + math.log(self.lo)
         self._neg_P = -self.P_edges
-        self._y, self._w_sf = y.ravel(), w_sf.ravel()
+        self._y, self._w, self._w_sf = y.ravel(), w.ravel(), w_sf.ravel()
 
     @staticmethod
     def _lower_end(cdf, knots) -> float:
@@ -270,11 +274,16 @@ class SurvivalTable:
         small = np.nonzero(rest <= SF_TABLE_CUT)[0]
         return float(u[small[0]] if small.size else u[-1])
 
+    def tails_below(self, z: float) -> tuple[float, float]:
+        """(P(z), C(z)) for 0 < z <= lo, where sf is 1: P(lo) + 1/z - 1/lo
+        and C(lo) + log(lo / z), in closed form."""
+        return float(self.P_edges[0] + (1.0 / z - 1.0 / self.lo)), self._log_mean - math.log(z)
+
     def tails(self, z: float) -> tuple[float, float]:
         """(P(z), C(z)) for z > 0: the sums above the panel holding z, plus
         the part of that panel above z on its own 20 nodes."""
         if z <= self.lo:
-            return float(self.P_edges[0] + (1.0 / z - 1.0 / self.lo)), self._log_mean - math.log(z)
+            return self.tails_below(z)
         u = math.log(z)
         k = bisect.bisect_right(self.u_edges, u) - 1
         if k >= len(self.u_edges) - 1:
@@ -295,6 +304,29 @@ class SurvivalTable:
         """E[log(1 + s Z)] = integral of s sf(y)/(1 + s y) dy, for s > 0."""
         sy = s * self._y
         return math.log1p(s * self.lo) + float(np.dot(self._w_sf, sy / (1.0 + sy)))
+
+    def head_expectation(self, g: Callable, pdf: Callable, top: float) -> float:
+        """Integral of g(y) pdf(y) over [lo, top], in u = log y: w y g(y) pdf(y)
+        summed over the stored nodes of the panels below the one holding
+        top, plus the part of that panel below top on its own 20 nodes.
+
+        ``g`` and ``pdf`` take arrays. Below ``lo`` F is under
+        ``SF_TABLE_CUT``, so that part is dropped; above the table's top
+        there is no mass left to add. The density is evaluated at each call:
+        the table keeps only its weights.
+        """
+        if top <= self.lo:
+            return 0.0
+        u = math.log(top)
+        k = bisect.bisect_right(self.u_edges, u) - 1
+        n = k * _SF_NODES.size
+        y, w = self._y[:n], self._w[:n]
+        if k < len(self.u_edges) - 1:
+            a = self.u_edges[k]
+            half = 0.5 * (u - a)
+            y = np.concatenate((y, np.exp(0.5 * (u + a) + half * _SF_NODES)))
+            w = np.concatenate((w, half * _SF_WEIGHTS))
+        return float(np.dot(w * y * g(y), pdf(y)))
 
 
 def find_root_monotone(

@@ -20,8 +20,9 @@ Schemes:
 OA and RA read the law's ``survival_table``: integrated by parts, the OA
 constraint E[(1/z_t - 1/z)+], the OA capacity E[log(z/z_t); z > z_t] and
 the RA capacity E[log(1 + S z)] need only the survival function 1 - F.
-TCI and CTCI use F and the tail functional T, and CTCI integrates its
-region below the cutoff through ``expect``.
+OA's cutoff solve returns the capacity at its cutoff with it. TCI and CTCI
+use F and the tail functional T, and CTCI integrates its region below the
+cutoff on the survival table's nodes, with the density.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ import numpy as np
 from .distributions import FadingDistribution
 from .numerics import Bracket, find_root_monotone, maximize_unimodal
 
-# Capacity integrals run an order looser than moment integrals: the
-# acceptance targets at 1e-4 bits leave ~6 digits of headroom.
-CAPACITY_REL_TOL = 1e-10
-
 
 class Scheme(str, Enum):
     AWGN = "awgn"
@@ -52,12 +49,18 @@ class Scheme(str, Enum):
 
 @dataclass(frozen=True)
 class ThresholdSolution:
-    """Solved cutoff with the residual of its defining power constraint."""
+    """Solved cutoff with the residual of its defining power constraint.
+
+    ``capacity_nats`` is the scheme's capacity at the cutoff when the solve
+    computed it on the way (OA's from the survival table at the returned
+    cutoff, TCI's at the optimized threshold), and None otherwise.
+    """
 
     z_t: float
     residual: float
     # cutoffs integrated (oa_threshold) or capacities computed (tci_optimize)
     iterations: int
+    capacity_nats: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -87,10 +90,12 @@ def awgn_capacity(dist: FadingDistribution, S: float) -> CapacityResult:
     return CapacityResult(Scheme.AWGN, S, math.log1p(S * dist.mean))
 
 
-def _oa_power_integral(dist: FadingDistribution, S: float, z_t: float) -> float:
-    """E[D] for water-filling with cutoff z_t, P(z_t) / S: the unit
-    constraint's LHS, read from the law's survival table."""
-    return dist.survival_table.tails(z_t)[0] / S
+def _oa_power_integral(dist: FadingDistribution, S: float, z_t: float) -> tuple[float, float]:
+    """(E[D], C) for water-filling with cutoff z_t: P(z_t) / S, the unit
+    constraint's LHS, and the capacity C(z_t), both from one read of the
+    law's survival table."""
+    P, C = dist.survival_table.tails(z_t)
+    return P / S, C
 
 
 def oa_threshold(dist: FadingDistribution, S: float) -> ThresholdSolution:
@@ -105,21 +110,25 @@ def oa_threshold(dist: FadingDistribution, S: float) -> ThresholdSolution:
     u = log z_t, whose slope -(1 - F(z_t)) / (z_t P(z_t)) needs only the
     survival function and the P just computed. ``iterations`` counts the
     cutoffs whose partial panel was integrated; the panel's edges are read
-    from the table, and no point is integrated twice.
+    from the table, and no point is integrated twice. The read that gave P
+    at the returned cutoff also gave C_OA there, the solution's
+    ``capacity_nats``.
     """
     _check_power(S)
     table = dist.survival_table
     k = table.power_panel(S)
     if k < 0:
         z_t = 1.0 / (S - table.P_edges[0] + 1.0 / table.lo)
-        return ThresholdSolution(z_t, table.tails(z_t)[0] / S - 1.0, iterations=0)
+        P, C = table.tails_below(z_t)
+        return ThresholdSolution(z_t, P / S - 1.0, iterations=0, capacity_nats=C)
     u_lo, u_hi = table.u_edges[k], table.u_edges[k + 1]
-    known = {u_lo: table.P_edges[k] / S, u_hi: table.P_edges[k + 1] / S}
+    known = {u_lo: (table.P_edges[k] / S, float(table.C_edges[k])),
+             u_hi: (table.P_edges[k + 1] / S, float(table.C_edges[k + 1]))}
 
     def power(u: float) -> float:
         if u not in known:
             known[u] = _oa_power_integral(dist, S, math.exp(u))
-        return known[u]
+        return known[u][0]
 
     def psi(u: float) -> float:
         p = power(u)
@@ -130,22 +139,25 @@ def oa_threshold(dist: FadingDistribution, S: float) -> ThresholdSolution:
         return -float(table.sf(z_t)) / (z_t * S * p) if p > 0.0 else math.nan
 
     u_t = find_root_monotone(psi, Bracket(u_lo, u_hi), tol=1e-15, dg=dpsi)
+    power_t, cap_t = known[u_t]
     return ThresholdSolution(
-        z_t=math.exp(u_t), residual=power(u_t) - 1.0, iterations=len(known) - 2
+        z_t=math.exp(u_t),
+        residual=power_t - 1.0,
+        iterations=len(known) - 2,
+        capacity_nats=cap_t,
     )
 
 
 def oa_capacity(dist: FadingDistribution, S: float) -> CapacityResult:
     """Optimal adaptive capacity E[log(z / z_t); z > z_t] above the solved
-    cutoff: the survival table's integral of (1 - F(y))/y over [z_t, inf)."""
+    cutoff: the survival table's integral of (1 - F(y))/y over [z_t, inf),
+    which the cutoff solve read with the constraint at z_t."""
     solution = oa_threshold(dist, S)
-    z_t = solution.z_t
-    cap = dist.survival_table.tails(z_t)[1]
     return CapacityResult(
         Scheme.OA,
         S,
-        _clip_capacity(cap),
-        threshold_z_t=z_t,
+        _clip_capacity(solution.capacity_nats),
+        threshold_z_t=solution.z_t,
         power_constraint_residual=solution.residual,
     )
 
@@ -252,6 +264,7 @@ def tci_optimize(
         z_t=z_star,
         residual=result.power_constraint_residual,
         iterations=evals[0],
+        capacity_nats=result.capacity_nats,
     )
     return solution, result
 
@@ -274,18 +287,16 @@ def ctci_dmax(dist: FadingDistribution, z_t: float) -> float:
     return 1.0 / (float(dist.cdf(z_t)) + z_t * dist.tail_inverse_integral(z_t))
 
 
-# Ratio between the knots that split log1p(a z) on [0, z_t] (see ctci_capacity)
-_LOG1P_KNOT_RATIO = 1e3
-
-
 def ctci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityResult:
     """Continuous truncated inversion capacity.
 
     Integrates the constant-power region below the cutoff and adds the
     constant-rate contribution above it. Thresholds 0 and above the
-    support reproduce CI and RA exactly. log1p(a z), a = S D_max, bends at
-    z = 1/a, which high SNR puts many decades below z_t; QUADPACK is given
-    knots a factor ``_LOG1P_KNOT_RATIO`` apart from z_t down past the bend.
+    support reproduce CI and RA exactly. The region below the cutoff,
+    E[log(1 + a z); z < z_t] with a = S D_max, is summed on the survival
+    table's 20-node panels in u = log z, with the density evaluated at
+    their nodes: log1p(a e^u) bends at u = -log a, many decades below z_t
+    at high SNR, but stays smooth on panels a quarter unit of u wide.
     """
     _check_power(S)
     _check_ctci_threshold(z_t)
@@ -306,12 +317,9 @@ def ctci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityRes
     outage_cdf = float(dist.cdf(z_t))
     denom = outage_cdf + z_t * dist.tail_inverse_integral(z_t)
     d_max = 1.0 / denom
-    decades = math.ceil(math.log(S * d_max * z_t) / math.log(_LOG1P_KNOT_RATIO))
-    bends = z_t * _LOG1P_KNOT_RATIO ** -np.arange(1.0, max(decades, 0) + 1.0)
-    below = dist.expect(
-        lambda z: np.log1p(S * d_max * z), hi=z_t, rel_tol=CAPACITY_REL_TOL, knots=bends
-    )
-    cap = below + (1.0 - outage_cdf) * math.log1p(S * d_max * z_t)
+    a = S * d_max
+    below = dist.survival_table.head_expectation(lambda y: np.log1p(a * y), dist.pdf, z_t)
+    cap = below + (1.0 - outage_cdf) * math.log1p(a * z_t)
     residual = d_max * denom - 1.0
     return CapacityResult(
         Scheme.CTCI,

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fadecap.cli import (
 )
 
 LN2 = math.log(2.0)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, argv):
@@ -228,6 +230,23 @@ class TestSweepCommand:
         run(capsys, args + ["--out", str(a)])
         run(capsys, args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("fixture, args", [
+        ("sweep_miso22_six_schemes.csv",
+         ["--dist", "miso:N=2,K=2", "--schemes", "awgn,oa,ra,ci,tci:zt=1,ctci:zt=1",
+          "--snr-db=-10:40:1"]),
+        ("sweep_gamma2_oa_ctci.csv",
+         ["--dist", "gamma:N=2", "--schemes", "oa,ctci:zt=0.3,ctci:zt=1,ctci:zt=3",
+          "--snr-db=-60:90:1"]),
+    ])
+    def test_default_output_matches_golden_file(self, capsys, tmp_path, fixture, args):
+        # the golden files were written before OA took its capacity from the
+        # cutoff solve and CTCI its region below the cutoff from the
+        # survival table; the default output keeps every byte
+        out = tmp_path / fixture
+        code, _, _ = run(capsys, ["sweep", *args, "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / fixture).read_bytes()
 
     def test_bits_are_formatted_nats_over_log2(self, capsys, tmp_path):
         bits, nats = tmp_path / "bits.csv", tmp_path / "nats.csv"

@@ -701,6 +701,8 @@ def test_scalar_path_matches_array_path(law, fn):
     f = getattr(law, fn)
     batch = f(AGREEMENT_POINTS)
     assert batch.shape == AGREEMENT_POINTS.shape
+    # below the support F is 0, so the density and F read 0 and 1 - F reads 1
+    assert AGREEMENT_POINTS[0] == -1.0 and batch[0] == f(-1.0) == (1.0 if fn == "sf" else 0.0)
     for z, expected in zip(AGREEMENT_POINTS, batch):
         got = f(float(z))
         assert isinstance(got, float), (z, type(got))

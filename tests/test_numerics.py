@@ -297,6 +297,28 @@ class TestSurvivalTable:
                 expected = float(mp.exp(1 / mp.mpf(s)) * mp.e1(1 / mp.mpf(s)))
             assert table.log1p_expectation(s) == pytest.approx(expected, rel=1e-14)
 
+    def test_head_expectation_on_a_bounded_support(self):
+        # Z uniform on [1, 2]: the integral of y pdf(y) over [1, t] is
+        # (t^2 - 1)/2, 0 below the table and all of E[Z] past its top
+        table = SurvivalTable(lambda z: np.clip(2.0 - z, 0.0, 1.0),
+                              lambda z: np.clip(z - 1.0, 0.0, 1.0), knots=(1.0, 2.0), top=2.0)
+        pdf = lambda y: np.where((1.0 <= y) & (y <= 2.0), 1.0, 0.0)
+        for t, expected in ((0.5, 0.0), (1.0, 0.0), (1.3, 0.345), (2.0, 1.5), (5.0, 1.5)):
+            assert table.head_expectation(lambda y: y, pdf, t) == pytest.approx(
+                expected, rel=1e-14, abs=0.0), t
+
+    def test_head_expectation_of_log1p_on_the_exponential_law(self):
+        # E[log(1 + aZ); Z < t] = e^(1/a) [E1(1/a) - E1(t + 1/a)] - e^-t log(1 + at)
+        # for the exponential law, whose density is its survival function
+        table = SurvivalTable(lambda z: np.exp(-z), lambda z: -np.expm1(-z))
+        with mp.workdps(30):
+            for a in (1e-6, 1.0, 1e9):
+                for t in (1e-3, 0.5, 3.0, 60.0):
+                    x, b = mp.mpf(t), 1 / mp.mpf(a)
+                    expected = mp.exp(b) * (mp.e1(b) - mp.e1(x + b)) - mp.exp(-x) * mp.log1p(x / b)
+                    got = table.head_expectation(lambda y: np.log1p(a * y), lambda y: np.exp(-y), t)
+                    assert got == pytest.approx(float(expected), rel=1e-14, abs=0.0), (a, t)
+
     def test_power_panel_brackets_the_level(self):
         table = SurvivalTable(lambda z: np.exp(-z), lambda z: -np.expm1(-z))
         assert table.power_panel(2.0 * table.P_edges[0]) == -1

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import tanhsinh
 
-from fadecap import distributions, schemes
+from fadecap import distributions, numerics, schemes
 from fadecap.distributions import (
     FadingDistribution,
     make_frechet,
@@ -72,6 +72,21 @@ def _tabulated_law(shape):
     # p(0) = 0, so E[1/Z] is finite
     z = np.linspace(0.0, 6.0 * shape + 8.0, 40)
     return make_tabulated(np.column_stack([z, z ** (shape - 1.0) * np.exp(-z)]))
+
+
+def _watch_integrators(monkeypatch):
+    """The list that the names of the integrators a law calls are appended to."""
+    calls = []
+
+    def watched(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr in ("integrate_semi_infinite", "integrate_finite", "_integrate_pieces"):
+        monkeypatch.setattr(distributions, attr, watched(getattr(distributions, attr)))
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +223,7 @@ class TestOaCutoffSolve:
         # computed constraint may read a few ulps below it there
         S = 10.0 ** (snr_db / 10.0)
         z_lo = _jensen_end(law, S)
-        assert schemes._oa_power_integral(law, S, z_lo) - 1.0 >= -1e-13
+        assert schemes._oa_power_integral(law, S, z_lo)[0] - 1.0 >= -1e-13
         assert oa_threshold(law, S).z_t >= z_lo * (1.0 - 1e-13)
 
     @pytest.mark.parametrize("law", ["gamma2", "miso22"])
@@ -309,10 +324,11 @@ class TestGamma2ClosedForms:
     """RA, CI, TCI and CTCI on gamma:N=2 against the benchmark's 30-digit oracles."""
 
     # worst relative error measured from -60 to +90 dB in 5 dB steps at
-    # z_t = 0.7: RA 2.2e-16 (on the survival table; 7.1e-12 by QUADPACK),
-    # CTCI 8.1e-13 (55 dB), TCI 2.0e-16, CI 1.1e-16; each gate is at most
-    # 3x that, with a 1e-15 floor for CI and TCI
-    GATES = {"ra": 6.5e-16, "ci": 1e-15, "tci": 1e-15, "ctci": 2.4e-12}
+    # z_t = 0.7, all four on the survival table or in closed form: RA
+    # 2.2e-16 (7.1e-12 by QUADPACK), CTCI 1.8e-16 (1.4e-15 by QUADPACK),
+    # TCI 2.0e-16, CI 1.1e-16; each gate is at most 3x that, with a 1e-15
+    # floor for CI and TCI
+    GATES = {"ra": 6.5e-16, "ci": 1e-15, "tci": 1e-15, "ctci": 5.5e-16}
 
     @pytest.mark.parametrize("scheme", sorted(GATES))
     def test_matches_closed_form_from_minus_60_to_90_db(self, gamma2, scheme):
@@ -324,6 +340,103 @@ class TestGamma2ClosedForms:
             got = capacity(gamma2, Scheme(scheme), S, z_t=0.7).capacity_nats
             worst = max(worst, float(abs(got - ref) / ref))
         assert worst <= self.GATES[scheme]
+
+
+class TestCtciAgainstOracles:
+    """CTCI from -60 to +90 dB in 5 dB steps against 30-digit references
+    that share no code with the library.
+
+    The MISO and tabulated references are the benchmark's oracles: mpmath
+    quadrature of the mixture density, and exact segment antiderivatives.
+    Rayleigh has CTCI = e^(1/a) [E1(1/a) - E1(z_t + 1/a)] with a = S D_max
+    and D_max = 1/(1 - e^-z_t + z_t E1(z_t)); at z_t = e^-gamma it raised
+    ``QuadratureError`` at 75-80 dB while QUADPACK integrated the region
+    below the cutoff. Worst relative errors measured on the survival
+    table's nodes are listed with each case; each gate is 3x that.
+    """
+
+    MEASURED = {
+        ("miso22", 0.3): 2.3e-16, ("miso22", 1.0): 6.5e-16, ("miso22", 3.0): 6.0e-16,
+        ("tab1", 0.3): 2.6e-16, ("tab1", 1.0): 1.5e-15, ("tab1", 3.0): 1.2e-15,
+    }
+    LAWS = {
+        "miso22": (lambda: _miso_law(2, 2), lambda: oracles.miso_law(2, 2)),
+        "tab1": (lambda: _workload_tab_law(1),
+                 lambda: oracles.TabulatedLaw("tab1", workloads.tab_grid(1))),
+    }
+
+    @pytest.mark.parametrize("law, z_t", sorted(MEASURED))
+    def test_matches_oracle_from_minus_60_to_90_db(self, law, z_t):
+        build, reference = self.LAWS[law]
+        dist, ref = build(), reference()
+        worst = 0.0
+        for db in range(-60, 91, 5):
+            S = 10.0 ** (db / 10.0)
+            with mp.workdps(oracles.DPS):
+                expected = oracles.capacity(ref, "ctci", S, z_t)
+            got = ctci_capacity(dist, S, z_t).capacity_nats
+            worst = max(worst, float(abs(got - expected) / expected))
+        assert worst <= 3.0 * self.MEASURED[law, z_t]
+
+    def test_rayleigh_matches_closed_form_at_exp_minus_gamma(self):
+        # worst measured 4.3e-16 (7.9e-16 by QUADPACK)
+        rayleigh = make_gamma_diversity(1)
+        z_t = math.exp(-0.5772156649015329)
+        worst = 0.0
+        with mp.workdps(30):
+            z = mp.mpf(z_t)
+            d_max = 1 / (1 - mp.exp(-z) + z * mp.e1(z))
+            for db in range(-60, 91, 5):
+                S = 10.0 ** (db / 10.0)
+                a = S * d_max
+                expected = mp.exp(1 / a) * (mp.e1(1 / a) - mp.e1(z + 1 / a))
+                got = ctci_capacity(rayleigh, S, z_t).capacity_nats
+                worst = max(worst, float(abs(got - expected) / expected))
+        assert worst <= 1.3e-15
+
+
+@pytest.mark.parametrize("law, integrators", [
+    (lambda: _gamma_law(2), 0),
+    (lambda: _tabulated_law(2.0), 0),
+    (lambda: _scaled_gamma_law(3, 2.5), 0),
+    (lambda: _miso_law(2, 2), 1),
+], ids=["gamma2", "tabulated", "scaled_gamma3", "miso22"])
+def test_ctci_cost_pin_integrals(monkeypatch, law, integrators):
+    # the region below the cutoff is summed on the survival table's nodes;
+    # only a law without a closed-form T integrates, once, for T(z_t)
+    law = law()
+    calls = _watch_integrators(monkeypatch)
+    for S in (1e-6, 10.0, 1e9):
+        calls.clear()
+        ctci_capacity(law, S, 1.0)
+        assert len(calls) == integrators, (S, calls)
+
+
+@pytest.mark.parametrize("law", [
+    lambda: _gamma_law(2), lambda: _miso_law(2, 2), lambda: _workload_tab_law(1),
+    lambda: _frechet_law(0.8, 1), lambda: spike_at(2.0),
+], ids=["gamma2", "miso22", "tab1", "frechet08", "spike"])
+def test_oa_capacity_reads_each_cutoff_once(monkeypatch, law):
+    # C_OA comes from the table read that gave P at the returned cutoff:
+    # oa_capacity reads the table once per integrated cutoff, and reads the
+    # panel edges and the closed form below the table without integrating
+    law = law()
+    original = numerics.SurvivalTable.tails
+    reads = []
+
+    def counted(table, z):
+        reads.append(z)
+        return original(table, z)
+
+    monkeypatch.setattr(numerics.SurvivalTable, "tails", counted)
+    for db in np.arange(-60.0, 90.1, 7.5):
+        S = 10.0 ** (db / 10.0)
+        iterations = oa_threshold(law, S).iterations
+        reads.clear()
+        result = oa_capacity(law, S)
+        assert len(reads) == iterations, db
+        fresh = law.survival_table.tails(result.threshold_z_t)[1]
+        assert result.capacity_nats == pytest.approx(fresh, rel=1e-14, abs=0.0), db
 
 
 class TestOaCapacity:
@@ -487,16 +600,7 @@ class TestTciOptimize:
         # F and a closed-form T are all tci_optimize needs; a law without
         # a closed-form T integrates it at every threshold tried
         law = law()
-        calls = []
-
-        def watched(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for attr in ("integrate_semi_infinite", "integrate_finite", "_integrate_pieces"):
-            monkeypatch.setattr(distributions, attr, watched(getattr(distributions, attr)))
+        calls = _watch_integrators(monkeypatch)
         tci_optimize(law, 10.0)
         assert bool(calls) == integrates
 
