@@ -39,18 +39,18 @@ point at a time; an array argument returns an array of the same shape.
 Every factory supplies the survival function ``sf`` = 1 - F in a form
 that keeps its digits where F is near 1 (``_validate`` checks
 sf + cdf = 1 at the law's knots). ``survival_table``, a
-``numerics.SurvivalTable`` built from ``sf`` on the law's first use,
-gives the OA constraint, the OA capacity and the RA capacity with no
-quadrature, and its nodes, with the density at them, give CTCI's region
-below its cutoff.
+``numerics.SurvivalTable`` built from ``sf``, gives the OA constraint,
+the OA capacity and the RA capacity with no quadrature, and its nodes,
+with the density at them, give CTCI's region below its cutoff.
 
 Every other expectation E[g(z)] goes through ``FadingDistribution.expect``,
 moments included: a factory passes None for a moment with no closed
 form, and ``_validate`` integrates it through ``expect`` while the law
 is built. ``expect`` picks its rule from the support alone: adaptive
-QUADPACK on an unbounded support, and on a bounded one a fixed
-Gauss-Legendre rule on the pieces between the law's knots. A tabulated
-law's knots are its grid, and a scaled law's are its base law's, scaled.
+QUADPACK on an unbounded support, and on a bounded one a sum over the
+survival table's nodes, whose panels lie between the law's knots. A
+tabulated law's knots are its grid, and a scaled law's are its base
+law's, scaled.
 
 Distributions are immutable after construction; samplers take an
 explicit numpy Generator so callers own all random state. A sampler
@@ -80,7 +80,6 @@ from .numerics import (
     EULER_MASCHERONI,
     QuadratureError,
     SurvivalTable,
-    _integrate_pieces,
     integrate_finite,
     integrate_semi_infinite,
 )
@@ -123,8 +122,9 @@ def _as_float_or_array(z, compute_pos, at_zero: float = 0.0):
     there) and z == +inf to the function's limit there (see
     ``_limit_at_inf``). A float argument (a Python float, or
     ``np.float64``) takes a direct path with no array allocation and
-    returns a Python float: quadrature calls densities one point at a
-    time, so this path sets the cost of every capacity integral.
+    returns a Python float: QUADPACK calls densities one point at a time,
+    and takes this path for an unbounded law's moments and for T(t)
+    without a closed form.
     ``compute_pos`` therefore gets either an array or an ``np.float64``
     scalar and must accept both.
     """
@@ -224,33 +224,34 @@ class FadingDistribution:
                rel_tol: float = MOMENT_REL_TOL) -> float:
         """Integral of integrand(z) * pdf(z) over [lo, hi] (hi=None: support top).
 
-        On a bounded support a fixed Gauss-Legendre rule integrates each
-        piece between ``quad_knots``: the knots must split the density into
-        smooth pieces, a bounded law's first knot is its lower support end
-        (the density is 0 below it), the integrand and the density must take
-        arrays, and ``rel_tol`` is not used (a piece from the origin is
-        refined geometrically). On an unbounded support QUADPACK integrates
-        adaptively to ``rel_tol``, with subdivision forced at the law's knots.
+        On a bounded support the sum runs over the nodes of the law's
+        ``survival_table`` (``SurvivalTable.expectation``), whose panels lie
+        between ``quad_knots``: the knots must split the density into smooth
+        pieces, a bounded law's first knot is its lower support end (the
+        density is 0 below it), the integrand and the density must take
+        arrays, and ``rel_tol`` is not used. On an unbounded support QUADPACK
+        integrates adaptively to ``rel_tol``, with subdivision forced at the
+        law's knots: the table stops where sf is spent, and on a heavy tail
+        a head mean to t past its top would lose up to t sf(top).
         """
         bounded = self.support_sup < math.inf
         upper = self.support_sup if hi is None else min(hi, self.support_sup)
         lower = max(lo, self.quad_knots[0] if bounded and self.quad_knots else 0.0)
         if upper <= lower:
             return 0.0
-        if integrand is None:
-            f = self.pdf
-        else:
-            f = lambda z: integrand(z) * self.pdf(z)
         if bounded:
-            return _integrate_pieces(f, lower, upper, self.quad_knots)
+            g = np.ones_like if integrand is None else integrand
+            return self.survival_table.expectation(g, self.pdf, lower, upper)
+        f = self.pdf if integrand is None else (lambda z: integrand(z) * self.pdf(z))
         if math.isinf(upper):
             return integrate_semi_infinite(f, lower, rel_tol, knots=self.quad_knots).value
         return integrate_finite(f, lower, upper, rel_tol, knots=self.quad_knots).value
 
     @functools.cached_property
     def survival_table(self) -> SurvivalTable:
-        """The law's ``SurvivalTable``, built from ``sf`` on first use, so
-        that building a law integrates only through ``expect``."""
+        """The law's ``SurvivalTable``, built from ``sf`` on first use: a
+        bounded law's first ``expect`` (for a tabulated law, in
+        ``_validate``), and an unbounded law's first OA, RA or CTCI call."""
         sf = self.sf if self.sf is not None else (lambda z: 1.0 - self.cdf(z))
         return SurvivalTable(sf, self.cdf, self.quad_knots, self.support_sup)
 
@@ -799,9 +800,10 @@ def make_tabulated(grid) -> FadingDistribution:
     nonnegative density values; the density is renormalized to unit
     mass. Moments and the tail functional T are exact per-segment
     integrals (E[1/z] is T at the grid's first point), other expectations
-    take the fixed rule on each segment, sampling inverts the
-    piecewise-quadratic CDF, and the diversity order is estimated from
-    the log-log slope of the CDF over the 5 smallest usable grid points.
+    are summed on the survival table, whose panels lie within the
+    segments, sampling inverts the piecewise-quadratic CDF, and the
+    diversity order is estimated from the log-log slope of the CDF over
+    the 5 smallest usable grid points.
     """
     arr = np.asarray(grid, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 4:

@@ -1,17 +1,16 @@
 """Shared numerical kernels.
 
-Adaptive quadrature on finite and semi-infinite intervals, a fixed
-piecewise Gauss-Legendre rule for bounded supports, survival-function
-tables for the tail integrals of a gain law, bracketed monotone root
-finding (Brent's method, or safeguarded Newton when the derivative is
-supplied) and unimodal 1-D maximization.
+Adaptive quadrature on finite and semi-infinite intervals, survival-function
+tables for the integrals of a gain law, bracketed monotone root finding
+(Brent's method, or safeguarded Newton when the derivative is supplied)
+and unimodal 1-D maximization.
 
 The semi-infinite case maps [a, inf) onto [0, 1) with z = a + t/(1-t),
 so exponential, power-law and extreme-value tails are all handled by the
 same adaptive rule. Adaptive quadrature, derivative-free root finding
 and maximization are delegated to scipy (QUADPACK, Brent's root finder
-and bounded Brent minimization) behind the interfaces below; the fixed
-rule, the survival tables and the Newton iteration are implemented here.
+and bounded Brent minimization) behind the interfaces below; the survival
+tables and the Newton iteration are implemented here.
 
 A ``SurvivalTable`` integrates a survival function sf = 1 - F once, on
 20-node Gauss-Legendre panels in u = log z, and keeps the sums of the
@@ -19,8 +18,9 @@ panels from the top. Integration by parts writes the OA power constraint,
 the OA capacity and the RA capacity as integrals of sf alone, with
 positive integrands, so each is a table lookup plus one partial panel, or
 one dot product over the stored nodes. An integral of g times the density
-from the table's lower end up to a point (CTCI's region below its cutoff)
-takes the same nodes, with the density evaluated at each query.
+over a range (CTCI's region below its cutoff, and every expectation on a
+bounded support) takes the same nodes, with the density evaluated at each
+query.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ DEFAULT_REL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 _QUAD_LIMIT = 250
-
-# Gauss-Legendre nodes and weights on [-1, 1] for each piece of the fixed rule
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 # Survival tables: 20-node Gauss-Legendre panels in u = log z, about
 # _PANELS_PER_UNIT of them to a unit of u. A table starts where F drops
@@ -171,47 +168,15 @@ def integrate_semi_infinite(
     return integrate_finite(transformed, 0.0, 1.0, rel_tol, knots=mapped)
 
 
-def _integrate_pieces(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    knots: Sequence[float],
-) -> float:
-    """Integrate f over [a, b] by a fixed rule on the pieces between knots.
-
-    ``f`` takes an array of points. The knots inside (a, b) split [a, b]
-    into pieces, and each piece gets 12-node Gauss-Legendre, so an
-    integrand that is smooth between knots (a piecewise-linear density
-    times a smooth function) needs no adaptive subdivision. A piece
-    spanning more than a factor of 4 is refined geometrically, so 1/z-type
-    integrands stay accurate when a low cut clips into it; a piece from
-    the origin is cut geometrically down to a negligible inner sliver,
-    which resolves integrands such as log(1 + S z) whose scale near 0
-    grows with S.
-    """
-    edges = [a, *(k for k in knots if a < k < b), b]
-    lo, hi = [], []
-    for ai, bi in zip(edges[:-1], edges[1:]):
-        if ai == 0.0:
-            sub = np.concatenate(([0.0], np.geomspace(bi * 4.0 ** -27, bi, 28)))
-        elif bi / ai > 4.0:
-            sub = np.geomspace(ai, bi, int(np.ceil(np.log(bi / ai) / np.log(4.0))) + 2)
-        else:
-            lo.append(ai)
-            hi.append(bi)
-            continue
-        lo.extend(sub[:-1])
-        hi.extend(sub[1:])
-    lo, hi = np.asarray(lo), np.asarray(hi)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    values = f(mid[:, None] + half[:, None] * _GL_NODES)
-    return float(np.sum(half * np.sum(values * _GL_WEIGHTS, axis=1)))
-
-
 def _sum_from_top(panels: np.ndarray) -> np.ndarray:
     """Sums of ``panels[k:]`` for k = 0..n; the last is 0."""
     return np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0]))
+
+
+def _u_panel(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y and weights w of the 20-node panel over [a, b] in u = log y."""
+    half = 0.5 * (b - a)
+    return np.exp(0.5 * (a + b) + half * _SF_NODES), half * _SF_WEIGHTS
 
 
 class SurvivalTable:
@@ -219,10 +184,10 @@ class SurvivalTable:
 
     Holds, at the edges of its panels, P(z) = integral of sf(y)/y^2 over
     [z, inf), which is E[(1/z - 1/Z)+], and C(z) = integral of sf(y)/y,
-    which is E[log(Z/z); Z > z], and keeps every node with its weight and
-    with sf times it. ``sf`` and ``cdf`` take arrays of z > 0; ``knots``
-    are points where the law may be rough, and every panel lies between
-    two of them.
+    which is E[log(Z/z); Z > z], and keeps every node y with w y and
+    w sf(y), for its weight w in u. ``sf`` and ``cdf`` take arrays of
+    z > 0; ``knots`` are points where the law may be rough, and every
+    panel lies between two of them.
     Below the table's lower end ``lo`` F is under ``SF_TABLE_CUT``, so sf
     is taken as 1 there and P, C and RA have closed forms; above its top
     sf is taken as 0.
@@ -251,7 +216,7 @@ class SurvivalTable:
         # C(lo) + log lo: E[log Z], to within the F < SF_TABLE_CUT below lo
         self._log_mean = float(self.C_edges[0]) + math.log(self.lo)
         self._neg_P = -self.P_edges
-        self._y, self._w, self._w_sf = y.ravel(), w.ravel(), w_sf.ravel()
+        self._y, self._wy, self._w_sf = y.ravel(), (w * y).ravel(), w_sf.ravel()
 
     @staticmethod
     def _lower_end(cdf, knots) -> float:
@@ -288,10 +253,8 @@ class SurvivalTable:
         k = bisect.bisect_right(self.u_edges, u) - 1
         if k >= len(self.u_edges) - 1:
             return 0.0, 0.0
-        b = self.u_edges[k + 1]
-        half = 0.5 * (b - u)
-        y = np.exp(0.5 * (b + u) + half * _SF_NODES)
-        w_sf = half * _SF_WEIGHTS * self.sf(y)
+        y, w = _u_panel(u, self.u_edges[k + 1])
+        w_sf = w * self.sf(y)
         return (float(self.P_edges[k + 1] + np.dot(w_sf, 1.0 / y)),
                 float(self.C_edges[k + 1] + np.sum(w_sf)))
 
@@ -305,28 +268,51 @@ class SurvivalTable:
         sy = s * self._y
         return math.log1p(s * self.lo) + float(np.dot(self._w_sf, sy / (1.0 + sy)))
 
-    def head_expectation(self, g: Callable, pdf: Callable, top: float) -> float:
-        """Integral of g(y) pdf(y) over [lo, top], in u = log y: w y g(y) pdf(y)
-        summed over the stored nodes of the panels below the one holding
-        top, plus the part of that panel below top on its own 20 nodes.
+    def expectation(self, g: Callable, pdf: Callable, bottom: float = 0.0,
+                    top: float = math.inf) -> float:
+        """Integral of g(y) pdf(y) over [bottom, top], for 0 <= bottom.
 
-        ``g`` and ``pdf`` take arrays. Below ``lo`` F is under
-        ``SF_TABLE_CUT``, so that part is dropped; above the table's top
-        there is no mass left to add. The density is evaluated at each call:
-        the table keeps only its weights.
+        In u = log y, w y g(y) pdf(y) is summed over the stored nodes of the
+        panels between the ends, plus the part inside [bottom, top] of each
+        end's panel on its own 20 nodes (one panel when both ends share
+        it). Below ``lo``, where F is under ``SF_TABLE_CUT``, the part over
+        [bottom, lo] is one 20-node panel in y itself, exact for a density
+        linear there times a g such as 1/y or y; above the table's top there
+        is no mass left to add. ``g`` and ``pdf`` take arrays and are called
+        once, on every node: the table keeps only its weights.
         """
-        if top <= self.lo:
+        if top <= bottom:
             return 0.0
-        u = math.log(top)
-        k = bisect.bisect_right(self.u_edges, u) - 1
-        n = k * _SF_NODES.size
-        y, w = self._y[:n], self._w[:n]
-        if k < len(self.u_edges) - 1:
-            a = self.u_edges[k]
-            half = 0.5 * (u - a)
-            y = np.concatenate((y, np.exp(0.5 * (u + a) + half * _SF_NODES)))
-            w = np.concatenate((w, half * _SF_WEIGHTS))
-        return float(np.dot(w * y * g(y), pdf(y)))
+        edges, n = self.u_edges, len(self.u_edges) - 1
+        parts = []  # (y, w y) on each stretch
+
+        def partial(a, b):
+            y, w = _u_panel(a, b)
+            parts.append((y, w * y))
+
+        a, b = math.log(max(bottom, self.lo)), min(math.log(top), edges[-1])
+        if a < b:
+            j = bisect.bisect_right(edges, a) - 1
+            k = bisect.bisect_right(edges, b) - 1 if b < edges[-1] else n
+            if j == k:
+                partial(a, b)
+            else:
+                if a > edges[j]:
+                    partial(a, edges[j + 1])
+                    j += 1
+                m = _SF_NODES.size
+                parts.append((self._y[j * m:k * m], self._wy[j * m:k * m]))
+                if k < n:
+                    partial(edges[k], b)
+        if bottom < self.lo:
+            c = min(top, self.lo)
+            half = 0.5 * (c - bottom)
+            parts.append((0.5 * (c + bottom) + half * _SF_NODES, half * _SF_WEIGHTS))
+        if not parts:
+            return 0.0
+        y = np.concatenate([y for y, _ in parts])
+        wy = np.concatenate([wy for _, wy in parts])
+        return float(np.dot(wy * g(y), pdf(y)))
 
 
 def find_root_monotone(

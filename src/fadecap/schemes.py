@@ -296,7 +296,8 @@ def ctci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityRes
     E[log(1 + a z); z < z_t] with a = S D_max, is summed on the survival
     table's 20-node panels in u = log z, with the density evaluated at
     their nodes: log1p(a e^u) bends at u = -log a, many decades below z_t
-    at high SNR, but stays smooth on panels a quarter unit of u wide.
+    at high SNR, but stays smooth on panels a quarter unit of u wide. The
+    table's one panel in z below its lower end adds the F < 1e-20 there.
     """
     _check_power(S)
     _check_ctci_threshold(z_t)
@@ -318,7 +319,7 @@ def ctci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityRes
     denom = outage_cdf + z_t * dist.tail_inverse_integral(z_t)
     d_max = 1.0 / denom
     a = S * d_max
-    below = dist.survival_table.head_expectation(lambda y: np.log1p(a * y), dist.pdf, z_t)
+    below = dist.survival_table.expectation(lambda y: np.log1p(a * y), dist.pdf, top=z_t)
     cap = below + (1.0 - outage_cdf) * math.log1p(a * z_t)
     residual = d_max * denom - 1.0
     return CapacityResult(

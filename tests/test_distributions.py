@@ -26,7 +26,7 @@ from fadecap.distributions import (
     make_miso_multiuser,
     make_tabulated,
 )
-from fadecap.numerics import EULER_MASCHERONI, integrate_semi_infinite
+from fadecap.numerics import EULER_MASCHERONI, SurvivalTable, integrate_semi_infinite
 from fadecap.schemes import Scheme, capacity
 
 import oracles  # perfbench/oracles.py; pyproject.toml puts perfbench/ on the path
@@ -273,7 +273,9 @@ LOWER_END_LAWS = {
 # Eight OA and RA values were recorded again when OA and RA moved to the
 # survival table, each nearer the oracle: OA and RA at S = 0.1 on every
 # grid but RA on "scaled", RA at S = 10 and 1000 on "zero" and RA at
-# S = 10 on "scaled".
+# S = 10 on "scaled". Three "zero" H values, at t = 0.5, 3 and 8, were
+# recorded again, each 1 ulp off its old value, when a bounded law's
+# expectations moved onto its survival table.
 LOWER_END_RECORDS = {
     "off": {
         "caps": [
@@ -291,7 +293,7 @@ LOWER_END_RECORDS = {
             [7.343200069630935, 7.343198009134988, 6.9511932211513185, 5.859195485533611, 7.21653859328779],
         ],
         "T": [0.9584096416599809, 0.6086608593174793, 0.3714611267665929, 0.050284305364676735],
-        "H": [0.027687024891211512, 0.15904882684412947, 1.16361946284979, 1.9966482093044233],
+        "H": [0.02768702489121152, 0.15904882684412947, 1.1636194628497902, 1.996648209304423],
     },
     "scaled": {
         "caps": [
@@ -308,17 +310,19 @@ LOWER_END_RECORDS = {
 class TestBoundedRuleLowerEnd:
     """A bounded law's expectations start at its first knot, where its density starts."""
 
-    @pytest.mark.parametrize("case, max_points, rel", [
-        ("off", 288, 1e-15), ("scaled", 288, 1e-15), ("zero", 612, 0.0),
+    @pytest.mark.parametrize("case, points, rel", [
+        ("off", 520, 1e-15), ("scaled", 520, 1e-15), ("zero", 2280, 0.0),
     ])
-    def test_matches_records_with_fewer_points(self, case, max_points, rel):
-        # 24 pieces of 12 nodes on [0.5, 8]; the rule from 0 also spent
-        # 28 pieces on [0, 0.5], where the density is 0. Grids from 0 keep
-        # the origin piece and their bits.
+    def test_records_and_node_count(self, case, points, rel):
+        # 26 table panels of 20 nodes on [0.5, 8], none below the grid's
+        # first point, where the density is 0. The grid from 0 adds the
+        # table's panels down to its lower end lo, where F < 1e-20, and one
+        # panel in z on [0, lo].
         law = LOWER_END_LAWS[case]()
-        sizes = []
-        law.expect(lambda z: sizes.append(z.size) or np.ones_like(z))
-        assert sum(sizes) <= max_points
+        nodes = []
+        law.expect(lambda z: nodes.append(z) or np.ones_like(z))
+        nodes = np.concatenate(nodes)
+        assert nodes.size == points and nodes.min() >= law.quad_knots[0]
         record = LOWER_END_RECORDS[case]
         schemes = [Scheme(s) for s in ("oa", "ra", "ci", "tci", "ctci")]
         for S, expected in zip((0.1, 10.0, 1000.0), record["caps"]):
@@ -329,11 +333,27 @@ class TestBoundedRuleLowerEnd:
         heads = [law.head_mean(t) for t in (0.5, 1.0, 3.0, 8.0)]
         assert heads == pytest.approx(record["H"], rel=rel, abs=0.0)
 
+    @pytest.mark.parametrize("case", sorted(LOWER_END_LAWS))
+    def test_head_mean_matches_exact_segment_sums(self, case):
+        # H(t) = sum over the segments below t of the integral of
+        # z (c0 + c1 z); worst measured 3.6e-16 ("scaled", t = 8)
+        c = 3.0 if case == "scaled" else 1.0
+        grid = gamma_shape_grid(0.0 if case == "zero" else 0.5)
+        law, ref = LOWER_END_LAWS[case](), oracles.TabulatedLaw(case, grid)
+        with mpmath.workdps(oracles.DPS):
+            for t in (0.5, 1.0, 3.0, 8.0):
+                x = mpmath.mpf(t) / c
+                exact = c * mpmath.fsum(
+                    c0 * (min(b, x) ** 2 - a ** 2) / 2 + c1 * (min(b, x) ** 3 - a ** 3) / 3
+                    for a, b, c0, c1 in ref.seg if a < x)
+                got = law.head_mean(t)
+                assert (got == 0.0 if exact == 0 else _rel_err(got, exact) <= 1.1e-15), t
+
 
 # (fadecap law, 30-digit oracle law). The MISO and max-exponential moments
 # are integrated through ``expect``, so the consistency checks below compare
-# them with themselves. The tabulated ones are exact per-segment sums, which
-# the fixed rule misses by 1e-13 on a grid whose density is positive at 0.
+# them with themselves. The tabulated ones are exact per-segment sums, and
+# ``expect`` on a tabulated law is gated against the oracle on its own below.
 MOMENT_CASES = {
     "miso22": (partial(make_miso_multiuser, 2, 2), partial(oracles.miso_law, 2, 2)),
     "miso12": (partial(make_miso_multiuser, 1, 2), partial(oracles.miso_law, 1, 2)),
@@ -360,6 +380,24 @@ def test_moments_match_30_digit_oracles(name):
                 assert got == math.inf
             else:
                 assert float(abs(got - exact) / abs(exact)) <= 4e-15
+
+
+@pytest.mark.parametrize("name, c", [
+    *((name, 1.0) for name in sorted(MOMENT_CASES) if name.startswith("tab")), ("tab3", 2.5),
+])
+def test_bounded_expect_matches_30_digit_oracles(name, c):
+    # E[1], E[z], E[log z] and, where finite, E[1/z], summed on the survival
+    # table of the law scaled by c; worst measured 5.1e-16 (tab_positive_at_0
+    # E[z]). The piecewise rule this replaced missed E[log z] on
+    # tab_positive_at_0 by 1.2e-13, at the log singularity of its piece from 0.
+    build, oracle = MOMENT_CASES[name]
+    law, ref = build().scaled(c) if c != 1.0 else build(), oracle()
+    with mpmath.workdps(oracles.DPS):
+        exact = (mpmath.mpf(1), c * ref.mean(), ref.log_mean() + mpmath.log(c),
+                 ref.inverse_mean() / c)
+        for g, value in zip((None, lambda z: z, np.log, lambda z: 1.0 / z), exact):
+            if not mpmath.isinf(value):
+                assert _rel_err(law.expect(g), value) <= 4e-15, (g, value)
 
 
 # T(t) = E[1/z; z > t] in closed form, against 30-digit oracles: gamma
@@ -479,8 +517,9 @@ def test_construction_integrates_only_through_expect(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for attr in ("integrate_semi_infinite", "integrate_finite", "_integrate_pieces"):
+    for attr in ("integrate_semi_infinite", "integrate_finite"):
         monkeypatch.setattr(distributions, attr, watched(getattr(distributions, attr)))
+    monkeypatch.setattr(SurvivalTable, "expectation", watched(SurvivalTable.expectation))
     builders = [
         lambda: make_gamma_diversity(2),
         lambda: make_max_exponential(1),
@@ -501,7 +540,7 @@ def test_construction_integrates_only_through_expect(monkeypatch):
         assert calls and all(code is FadingDistribution.expect.__code__ for _, code in calls), \
             law.name
         seen.update(name for name, _ in calls)
-    assert seen == {"integrate_semi_infinite", "_integrate_pieces"}
+    assert seen == {"integrate_semi_infinite", "expectation"}
 
 
 @pytest.mark.parametrize("build, calls", [
