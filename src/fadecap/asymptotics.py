@@ -49,7 +49,6 @@ class GapReport:
 class SlopeReport:
     scheme: Scheme
     slope: float
-    analytic: bool = True
     threshold_z_t: Optional[float] = None
 
 

@@ -15,7 +15,8 @@ rescales the gain. SNR is in dB (single value, or ``start:stop:step``
 for sweeps) and converts to linear average power internally. Capacities
 are computed in nats and printed in bits by default.
 
-Exit codes: 0 success, 1 failed invariant, 2 usage or format error.
+Exit codes: 0 success, 1 failed invariant, 2 usage or format error, or a
+law or point whose integral does not converge.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from . import verify as verify_mod
 from .asymptotics import gap_report
 from .distributions import DistributionSpec
 from .mc import mc_capacity
+from .numerics import QuadratureError
 from .schemes import Scheme, capacity
 
 LN2 = math.log(2.0)
@@ -338,8 +340,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, ValueError, OSError, QuadratureError) as exc:
+        # QUADPACK's messages span several lines; the error takes one
+        print("error:", " ".join(str(exc).split()), file=sys.stderr)
         return 2
 
 

@@ -69,8 +69,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, replace
-from decimal import Decimal, localcontext
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -193,12 +192,13 @@ class FadingDistribution:
     for a scaled law the base law's T. When it is None,
     ``tail_inverse_integral`` integrates T through ``expect``. ``sf`` is
     the survival function 1 - F (1 below 0), in a form that keeps its
-    digits where F is near 1; None means 1 - cdf.
+    digits where F is near 1.
     """
 
     name: str
     pdf: Callable
     cdf: Callable
+    sf: Callable
     mean: float
     inverse_mean: float
     log_mean: float
@@ -207,7 +207,6 @@ class FadingDistribution:
     quad_knots: tuple = ()
     sampler: Callable = None
     tail_inverse: Optional[Callable] = None
-    sf: Optional[Callable] = None
 
     def __repr__(self):
         return f"FadingDistribution({self.name})"
@@ -252,8 +251,7 @@ class FadingDistribution:
         """The law's ``SurvivalTable``, built from ``sf`` on first use: a
         bounded law's first ``expect`` (for a tabulated law, in
         ``_validate``), and an unbounded law's first OA, RA or CTCI call."""
-        sf = self.sf if self.sf is not None else (lambda z: 1.0 - self.cdf(z))
-        return SurvivalTable(sf, self.cdf, self.quad_knots, self.support_sup)
+        return SurvivalTable(self.sf, self.cdf, self.quad_knots, self.support_sup)
 
     def tail_inverse_integral(self, t: float) -> float:
         """T(t): integral of pdf(z)/z over [t, support top); T(0) = E[1/z].
@@ -299,6 +297,7 @@ class FadingDistribution:
             name=f"scaled({c})*{base.name}",
             pdf=lambda z: base.pdf(np.asarray(z, dtype=float) / c) / c,
             cdf=lambda z: base.cdf(np.asarray(z, dtype=float) / c),
+            sf=lambda z: base.sf(np.asarray(z, dtype=float) / c),
             mean=c * base.mean,
             inverse_mean=base.inverse_mean / c,
             log_mean=base.log_mean + math.log(c),
@@ -307,34 +306,34 @@ class FadingDistribution:
             quad_knots=tuple(c * k for k in base.quad_knots),
             sampler=scaled_sampler,
             tail_inverse=lambda t: base.tail_inverse_integral(t / c) / c,
-            sf=None if base.sf is None else (lambda z: base.sf(np.asarray(z, dtype=float) / c)),
         )
 
 
-# Integrands of the moments a factory may leave as None. They take scalars:
-# only unbounded laws, which QUADPACK integrates point by point, leave one.
-_MOMENT_INTEGRANDS = {"mean": lambda z: z, "inverse_mean": lambda z: 1.0 / z, "log_mean": math.log}
+# Integrands of the moments a factory may leave as None. They take the
+# floats QUADPACK passes point by point on an unbounded law and the node
+# arrays of a bounded law's survival table.
+_MOMENT_INTEGRANDS = {"mean": lambda z: z, "inverse_mean": lambda z: 1.0 / z, "log_mean": np.log}
 
 
 def _validate(dist: FadingDistribution) -> FadingDistribution:
     """Construction-time sanity checks shared by all factories.
 
     A moment the factory left as None has no closed form; it is integrated
-    here through ``expect`` to ``MOMENT_REL_TOL``, and the law returned
-    carries it. A closed-form mean is cross-checked by quadrature, and
+    here through ``expect`` to ``MOMENT_REL_TOL`` and set on the law, which
+    is still being built, so that a survival table the integration built
+    stays with it. A closed-form mean is cross-checked by quadrature, and
     ``sf`` is checked against the CDF at the knots.
     """
     if abs(float(dist.cdf(0.0))) > 1e-12:
         raise ValueError(f"{dist.name}: cdf(0) must be 0")
-    if dist.sf is not None and dist.quad_knots:
+    if dist.quad_knots:
         knots = np.asarray(dist.quad_knots, dtype=float)
         gap = np.max(np.abs(dist.sf(knots) + dist.cdf(knots) - 1.0))
         if not gap <= _SF_CHECK_TOL:
             raise ValueError(f"{dist.name}: sf + cdf deviates from 1 by {gap} at the knots")
-    integrated = {name: dist.expect(g) for name, g in _MOMENT_INTEGRANDS.items()
-                  if getattr(dist, name) is None}
-    if integrated:
-        dist = replace(dist, **integrated)
+    integrated = [name for name in _MOMENT_INTEGRANDS if getattr(dist, name) is None]
+    for name in integrated:
+        object.__setattr__(dist, name, dist.expect(_MOMENT_INTEGRANDS[name]))
     # written as "not within" so that a NaN fails each check
     mass = dist.expect(rel_tol=1e-10)
     if not abs(mass - 1.0) <= _MASS_TOL:
@@ -631,7 +630,8 @@ def make_miso_multiuser(N, K) -> FadingDistribution:
 
 
 class _TabulatedLaw:
-    """Exact integrals and inverse-CDF sampling for a piecewise-linear pdf."""
+    """T, CDF, survival function and inverse-CDF sampling of a
+    piecewise-linear pdf."""
 
     def __init__(self, z: np.ndarray, grid_p: np.ndarray, mass: float):
         """``grid_p`` is the density as given, ``mass`` its trapezoid mass."""
@@ -643,12 +643,15 @@ class _TabulatedLaw:
         self.cum[-1] = 1.0  # the density is renormalized; pin the top exactly
         self.top_cum = np.concatenate((np.cumsum(seg_mass[::-1])[::-1], [0.0]))
         self._z_list, self._grid_p = z.tolist(), grid_p.tolist()
-        self._tail, self._tail_lo, self._exact_mass = _grid_tails(self._z_list, self._grid_p)
+        # T is divided by the trapezoid mass summed by ``math.fsum``: on the
+        # test grids it is the float nearest the exact mass, which numpy's
+        # pairwise sum (``mass``, which the density keeps) can miss by an ulp
+        self._mass = math.fsum((0.5 * (grid_p[:-1] + grid_p[1:]) * h).tolist())
+        self._tail = _grid_tails(self._z_list, self._grid_p, self._mass)
 
     def tail_inverse(self, t: float) -> float:
-        """T(t) for t >= 0: the part of the segment holding t, divided by the
-        grid's exact mass, plus T at the segment's top, added to its low
-        part first so that the sum is rounded once."""
+        """T(t) for t >= 0: T at the top of the segment holding t plus the
+        part of that segment above t."""
         zs = self._z_list
         k = bisect.bisect_right(zs, t) - 1
         if k < 0:
@@ -660,8 +663,7 @@ class _TabulatedLaw:
             return self._tail[k]
         pa, pb = self._grid_p[k], self._grid_p[k + 1]
         pt = (pa * (b - t) + pb * (t - a)) / (b - a)
-        part = _inverse_segment(t, b, pt, pb) / self._exact_mass
-        return self._tail[k + 1] + (part + self._tail_lo[k + 1])
+        return self._tail[k + 1] + _inverse_segment(t, b, pt, pb) / self._mass
 
     def pdf(self, x):
         # NaN is mapped below the grid, where the density is 0
@@ -686,19 +688,6 @@ class _TabulatedLaw:
         p_x = p1 - (p1 - self.p[idx]) * u / (z1 - self.z[idx])
         return self.top_cum[idx + 1] + 0.5 * (p_x + p1) * u
 
-    def moments(self):
-        """Exact E[z], E[1/z] and E[log z], summed over the segments."""
-        z1, z2 = self.z[:-1], self.z[1:]
-        p1, p2 = self.p[:-1], self.p[1:]
-        h = z2 - z1
-        m = (p2 - p1) / h
-
-        mean_terms = z1 * p1 * h + 0.5 * z1 * m * h**2 + 0.5 * p1 * h**2 + m * h**3 / 3.0
-
-        c0 = p1 - m * z1  # p(z) = c0 + c1 z with c1 = m
-        log_terms = [_log_segment(*args) for args in zip(c0, m, z1, z2)]
-        return float(np.sum(mean_terms)), self._tail[0], float(np.sum(log_terms))
-
     def sample(self, rng, n: int) -> np.ndarray:
         u = rng.random(n)
         idx = np.clip(np.searchsorted(self.cum, u, side="right") - 1, 0, len(self.z) - 2)
@@ -716,41 +705,31 @@ class _TabulatedLaw:
         return z0 + np.clip(t, 0.0, h)
 
 
-# Decimal digits carried while T is summed at the grid points. The oracle
-# carries 30; near the top of a grid log(b/a) loses 16 of them.
-_GRID_TAIL_DIGITS = 50
-
-
-def _grid_tails(z: list, p: list) -> tuple:
+def _grid_tails(z: list, p: list, mass: float) -> list:
     """T at each grid point for the piecewise-linear density through (z, p).
 
-    Each segment's integral c0 log(b/a) + c1 (b - a) of (c0 + c1 z)/z, the
-    sums from the top and the division by the grid's trapezoid mass are
-    carried to ``_GRID_TAIL_DIGITS`` decimal digits, so no rounding of the
-    renormalized density reaches T. Returns T rounded to a float at each
-    point, the remainder each rounding left, and the mass as a float. The
-    first T is E[1/z]: inf when the density is positive at z = 0.
+    Each segment's integral of p(z)/z (``_inverse_segment``) is added from
+    the top with Neumaier's compensated summation, so the running sum is
+    rounded about once however many segments it holds, and divided by the
+    density's trapezoid ``mass``. The first T is E[1/z]: inf when the
+    density is positive at z = 0.
     """
-    tails, lows = [0.0] * len(z), [0.0] * len(z)
-    with localcontext() as ctx:
-        ctx.prec = _GRID_TAIL_DIGITS
-        zd, pd = [Decimal(v) for v in z], [Decimal(v) for v in p]
-        mass = sum((pd[i] + pd[i + 1]) * (zd[i + 1] - zd[i]) for i in range(len(z) - 1)) / 2
-        total = Decimal(0)
-        for i in range(len(z) - 2, -1, -1):
-            a, b, pa, pb = zd[i], zd[i + 1], pd[i], pd[i + 1]
-            if a == 0:
-                if pa > 0:
-                    tails[i] = math.inf
-                    break
-                total += pb
-            else:
-                c1 = (pb - pa) / (b - a)
-                total += (pa - c1 * a) * (b / a).ln() + c1 * (b - a)
-            tail = total / mass
-            tails[i] = float(tail)
-            lows[i] = float(tail - Decimal(tails[i]))
-    return tails, lows, float(mass)
+    tails = [0.0] * len(z)
+    total = carry = 0.0
+    for i in range(len(z) - 2, -1, -1):
+        a, b, pa, pb = z[i], z[i + 1], p[i], p[i + 1]
+        if a == 0.0:
+            if pa > 0.0:
+                tails[i] = math.inf
+                break
+            term = pb  # p(z)/z is the constant pb/b on [0, b]
+        else:
+            term = _inverse_segment(a, b, pa, pb)
+        s = total + term
+        carry += (total - s) + term if abs(total) >= abs(term) else (term - s) + total
+        total = s
+        tails[i] = (total + carry) / mass
+    return tails
 
 
 # Terms of the series for R below, summed where u <= 1/3: the first one
@@ -782,28 +761,18 @@ def _inverse_segment(a: float, b: float, pa: float, pb: float) -> float:
     return (pa * (b * log_ratio - h) + pb * (h - a * log_ratio)) / h
 
 
-def _log_segment(c0: float, c1: float, z1: float, z2: float) -> float:
-    """Integral of (c0 + c1 z) log z over [z1, z2], z1 >= 0."""
-
-    def anti(z):
-        if z == 0.0:
-            return 0.0
-        return c0 * (z * math.log(z) - z) + c1 * (0.5 * z * z * math.log(z) - 0.25 * z * z)
-
-    return anti(z2) - anti(z1)
-
-
 def make_tabulated(grid) -> FadingDistribution:
     """Piecewise-linear density from (z, pdf) sample pairs.
 
     The grid must hold at least 4 strictly increasing z >= 0 with
     nonnegative density values; the density is renormalized to unit
-    mass. Moments and the tail functional T are exact per-segment
-    integrals (E[1/z] is T at the grid's first point), other expectations
-    are summed on the survival table, whose panels lie within the
-    segments, sampling inverts the piecewise-quadratic CDF, and the
-    diversity order is estimated from the log-log slope of the CDF over
-    the 5 smallest usable grid points.
+    mass. The tail functional T sums each segment's integral of p(z)/z
+    in closed form, and E[1/z] is T at the grid's first point. E[z],
+    E[log z] and every other expectation are summed on the survival
+    table, whose panels lie within the segments (``_validate`` integrates
+    the two moments while the law is built). Sampling inverts the
+    piecewise-quadratic CDF, and the diversity order is estimated from the
+    log-log slope of the CDF over the 5 smallest usable grid points.
     """
     arr = np.asarray(grid, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 4:
@@ -822,7 +791,6 @@ def make_tabulated(grid) -> FadingDistribution:
         raise ValueError("tabulated grid has zero total mass")
 
     law = _TabulatedLaw(z, p, mass)
-    mean, inverse_mean, log_mean = law.moments()
 
     cdf_vals = law.cum
     usable = (z > 0.0) & (cdf_vals > 0.0) & (cdf_vals < 1.0)
@@ -838,9 +806,9 @@ def make_tabulated(grid) -> FadingDistribution:
         # density-point counter, which patches it, sees every evaluation
         pdf=lambda x: law.pdf(x),
         cdf=lambda x: _as_float_or_array(x, law.cdf),
-        mean=mean,
-        inverse_mean=inverse_mean,
-        log_mean=log_mean,
+        mean=None,
+        inverse_mean=law.tail_inverse(0.0),
+        log_mean=None,
         support_sup=float(z[-1]),
         diversity_order=slope,
         quad_knots=tuple(z),

@@ -51,16 +51,16 @@ class Scheme(str, Enum):
 class ThresholdSolution:
     """Solved cutoff with the residual of its defining power constraint.
 
-    ``capacity_nats`` is the scheme's capacity at the cutoff when the solve
-    computed it on the way (OA's from the survival table at the returned
-    cutoff, TCI's at the optimized threshold), and None otherwise.
+    ``capacity_nats`` is the scheme's capacity at the cutoff, which the
+    solve computes on the way: OA's from the survival table at the returned
+    cutoff, TCI's at the optimized threshold.
     """
 
     z_t: float
     residual: float
     # cutoffs integrated (oa_threshold) or capacities computed (tci_optimize)
     iterations: int
-    capacity_nats: Optional[float] = None
+    capacity_nats: float
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fadecap import distributions
 from fadecap.cli import (
     MAX_SNR_GRID_POINTS,
     UsageError,
@@ -14,6 +15,9 @@ from fadecap.cli import (
     parse_distribution_spec,
     parse_snr_grid,
 )
+from fadecap.numerics import QuadratureError, QuadResult
+
+import workloads  # perfbench/workloads.py; pyproject.toml puts perfbench/ on the path
 
 LN2 = math.log(2.0)
 GOLDEN = Path(__file__).parent / "golden"
@@ -123,6 +127,17 @@ class TestCapacityCommand:
             ["capacity", "--dist", "miso:N=2,K=2", "--scheme", "awgn", "--snr-db=-30"],
         )
         assert json.loads(out_oa)["capacity_nats"] > json.loads(out_awgn)["capacity_nats"]
+
+    def test_law_whose_integral_does_not_converge_exits_2(self, capsys, monkeypatch):
+        def failing(alpha, K):
+            raise QuadratureError("did not converge\n  after 50 subdivisions",
+                                  QuadResult(math.nan, math.inf, 21))
+
+        monkeypatch.setattr(distributions, "make_frechet", failing)
+        code, out, err = run(capsys, ["gaps", "--dist", "frechet:alpha=0.3,K=4"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: did not converge after 50 subdivisions\n"
 
     def test_malformed_dist_exits_2(self, capsys):
         code, _, err = run(
@@ -238,11 +253,22 @@ class TestSweepCommand:
         ("sweep_gamma2_oa_ctci.csv",
          ["--dist", "gamma:N=2", "--schemes", "oa,ctci:zt=0.3,ctci:zt=1,ctci:zt=3",
           "--snr-db=-60:90:1"]),
+        # tci:opt is left out: the last digit of its threshold is not
+        # determined by the solve
+        ("sweep_tab3_six_schemes.csv",
+         ["--dist", "tab:path={tab3}", "--schemes", "awgn,oa,ra,ci,tci:zt=1,ctci:zt=1",
+          "--snr-db=-60:90:5"]),
     ])
     def test_default_output_matches_golden_file(self, capsys, tmp_path, fixture, args):
-        # the golden files were written before OA took its capacity from the
-        # cutoff solve and CTCI its region below the cutoff from the
-        # survival table; the default output keeps every byte
+        # the miso and gamma files were written before OA took its capacity
+        # from the cutoff solve and CTCI its region below the cutoff from the
+        # survival table, and the tabulated one before T and the moments of a
+        # tabulated law were summed in floats; the default output keeps every
+        # byte
+        tab3 = tmp_path / "tab3.csv"
+        tab3.write_text("".join(f"{z!r},{p!r}\n" for z, p in workloads.tab_grid(3)),
+                        encoding="utf-8")
+        args = [arg.format(tab3=tab3) for arg in args]
         out = tmp_path / fixture
         code, _, _ = run(capsys, ["sweep", *args, "--out", str(out)])
         assert code == 0

@@ -275,7 +275,10 @@ LOWER_END_LAWS = {
 # grid but RA on "scaled", RA at S = 10 and 1000 on "zero" and RA at
 # S = 10 on "scaled". Three "zero" H values, at t = 0.5, 3 and 8, were
 # recorded again, each 1 ulp off its old value, when a bounded law's
-# expectations moved onto its survival table.
+# expectations moved onto its survival table. Five "zero" values moved by
+# 1 ulp when T's segment integrals came to be summed in floats, and were
+# recorded again: TCI at S = 0.1 and 10 (each nearer the 50-digit oracle)
+# and T(0.5), T(1), T(3) (each within 1.4e-16 of it).
 LOWER_END_RECORDS = {
     "off": {
         "caps": [
@@ -288,11 +291,11 @@ LOWER_END_RECORDS = {
     },
     "zero": {
         "caps": [
-            [0.24309675993420296, 0.17604501014943327, 0.09924743494198672, 0.17684356238041907, 0.13328265002070977],
-            [2.827079408283784, 2.822341153229345, 2.4365871568118664, 2.4697825454853004, 2.6883954319536487],
+            [0.24309675993420296, 0.17604501014943327, 0.09924743494198672, 0.1768435623804191, 0.13328265002070977],
+            [2.827079408283784, 2.822341153229345, 2.4365871568118664, 2.469782545485301, 2.6883954319536487],
             [7.343200069630935, 7.343198009134988, 6.9511932211513185, 5.859195485533611, 7.21653859328779],
         ],
-        "T": [0.9584096416599809, 0.6086608593174793, 0.3714611267665929, 0.050284305364676735],
+        "T": [0.9584096416599809, 0.6086608593174792, 0.3714611267665928, 0.05028430536467673],
         "H": [0.02768702489121152, 0.15904882684412947, 1.1636194628497902, 1.996648209304423],
     },
     "scaled": {
@@ -352,8 +355,10 @@ class TestBoundedRuleLowerEnd:
 
 # (fadecap law, 30-digit oracle law). The MISO and max-exponential moments
 # are integrated through ``expect``, so the consistency checks below compare
-# them with themselves. The tabulated ones are exact per-segment sums, and
-# ``expect`` on a tabulated law is gated against the oracle on its own below.
+# them with themselves. A tabulated law's E[z] and E[log z] are integrated
+# through ``expect`` on its survival table too, and its E[1/z] is T at its
+# first grid point; ``expect`` on a tabulated law is gated against the
+# oracle on its own below.
 MOMENT_CASES = {
     "miso22": (partial(make_miso_multiuser, 2, 2), partial(oracles.miso_law, 2, 2)),
     "miso12": (partial(make_miso_multiuser, 1, 2), partial(oracles.miso_law, 1, 2)),
@@ -370,7 +375,8 @@ for _name, _grid in [*((f"tab{seed}", workloads.tab_grid(seed)) for seed in rang
 
 @pytest.mark.parametrize("name", sorted(MOMENT_CASES))
 def test_moments_match_30_digit_oracles(name):
-    # worst measured: 1.2e-15 (miso22 E[log z]), 1.1e-15 (tab3 E[log z])
+    # worst measured: 1.2e-15 (miso22 E[log z]), 5.1e-16 on the tabulated
+    # laws (tab_positive_at_0 E[z])
     build, oracle = MOMENT_CASES[name]
     law, ref = build(), oracle()
     with mpmath.workdps(oracles.DPS):
@@ -450,7 +456,7 @@ def _tabulated_tail_points(grid, c=1.0):
 
 @pytest.mark.parametrize("name", sorted(TAIL_GRIDS))
 def test_tabulated_tail_functional_matches_30_digit_oracle(name):
-    # worst measured: 4.0e-16 (tab_positive_at_0), 3.1e-16 on the others.
+    # worst measured: 4.0e-16 (tab_positive_at_0), 3.4e-16 on the others.
     # Next to the top, log(b/a) in the oracle loses 16 digits to forming
     # b/a, so the oracle is built and run at 50.
     grid = TAIL_GRIDS[name]
@@ -475,6 +481,28 @@ def test_scaled_tabulated_tail_functional_matches_30_digit_oracle(name, c):
         for t in _tabulated_tail_points(grid, c):
             exact = ref.tail_inverse(mpmath.mpf(t / c)) / c
             assert _rel_err(law.tail_inverse_integral(t), exact) <= 4e-15, t
+
+
+def test_tail_functional_on_a_2000_point_grid_matches_50_digit_oracle():
+    # T at each grid point sums every segment above it, so a fine grid tests
+    # how the rounding of the running sum grows; worst measured 2.8e-16
+    n, top = 2000, 30.0
+    grid = []
+    for i in range(n):
+        z = top * (i / (n - 1)) ** 1.3
+        grid.append((z, z * math.exp(-z / 1.5) * (1.0 + 0.1 * math.sin(3.0 * z))))
+    law = make_tabulated(grid)
+    with mpmath.workdps(50):
+        ref = oracles.TabulatedLaw("fine", grid)
+        # the oracle's segment integrals summed from the top give T at every
+        # grid point in one pass
+        total = mpmath.mpf(0)
+        for a, b, c0, c1 in reversed(ref.seg[1:]):
+            total += c0 * mpmath.log(b / a) + c1 * (b - a)
+            assert _rel_err(law.tail_inverse_integral(float(a)), total) <= 4e-15, a
+        assert _rel_err(law.inverse_mean, total + ref.seg[0][3] * ref.seg[0][1]) <= 4e-15
+        for t in np.geomspace(1e-6, top, 9)[:-1]:
+            assert _rel_err(law.tail_inverse_integral(t), ref.tail_inverse(mpmath.mpf(t))) <= 4e-15, t
 
 
 SCALE_LAWS = {
@@ -550,7 +578,10 @@ def test_construction_integrates_only_through_expect(monkeypatch):
     # E[1/z], E[log z], the mass and the closed-form mean's cross-check
     (lambda: make_max_exponential(4), 4),
     (lambda: make_gamma_diversity(2), 2),
-], ids=["miso22", "maxexp4", "gamma2"])
+    # E[z], E[log z] and the mass: E[1/z] is T at the first grid point, and
+    # the integrated mean is not checked against itself
+    (lambda: make_tabulated(workloads.tab_grid(3)), 3),
+], ids=["miso22", "maxexp4", "gamma2", "tab3"])
 def test_construction_expectation_count(monkeypatch, build, calls):
     original = FadingDistribution.expect
     seen = []
@@ -562,6 +593,21 @@ def test_construction_expectation_count(monkeypatch, build, calls):
     monkeypatch.setattr(FadingDistribution, "expect", counted)
     build()
     assert len(seen) == calls
+
+
+def test_tabulated_law_builds_one_survival_table(monkeypatch):
+    # the moments integrated while the law is built and its mass check sum
+    # on one table, and the law returned keeps it
+    built = []
+    original = SurvivalTable.__init__
+
+    def counted(table, *args, **kwargs):
+        built.append(table)
+        original(table, *args, **kwargs)
+
+    monkeypatch.setattr(SurvivalTable, "__init__", counted)
+    law = make_tabulated(workloads.tab_grid(3))
+    assert len(built) == 1 and law.survival_table is built[0]
 
 
 class TestSharedInvariants:
@@ -657,7 +703,7 @@ class TestSharedInvariants:
                     return mass if integrand is None else mean_quad
 
             return Law(
-                name="nan-law", pdf=None, cdf=lambda z: 0.0, mean=1.0,
+                name="nan-law", pdf=None, cdf=lambda z: 0.0, sf=lambda z: 1.0, mean=1.0,
                 inverse_mean=1.0, log_mean=0.0, support_sup=1.0,
                 diversity_order=1.0,
             )
