@@ -5,13 +5,18 @@ the scheme's instantaneous power ratio D, as an independent cross-check
 of every quadrature capacity. The empirical average power E[D] is
 reported alongside so the unit power constraint can be audited.
 
-Sampling is sharded: shard i draws from a counter-based Philox stream
-keyed by (seed, i). The shards of one estimate run concurrently on a
-thread pool, one worker per CPU the process may use (numpy releases the
-GIL while it draws and reduces a shard), and their mean/variance
-statistics are merged in shard order with the pairwise combine rule.
-Estimates are bit-stable for a given (seed, n_samples) and do not depend
-on how many workers there are or how shards are scheduled.
+Sampling is sharded: shard i draws from its own SFC64 stream, seeded by
+SeedSequence((seed, i)). Each scheme has one kernel that turns a shard's
+gains, in place, into the (count, mean, sum of squared deviations) of
+its rate and of its power ratio: a constant array is summarised exactly,
+TCI's two-valued rate by its count of active samples, and every other
+array by one mean and one dot product of its deviations. The shards of
+one estimate run concurrently on a thread pool, one worker per CPU the
+process may use (numpy releases the GIL while it draws and reduces a
+shard), and their statistics are merged in shard order with the
+pairwise combine rule. Estimates are bit-stable for a given
+(seed, n_samples) and do not depend on how many workers there are or
+how shards are scheduled.
 
 A law's samples for a given Generator are fixed by the C-order block its
 sampler draws and by how that block is reduced (see the samplers in
@@ -94,13 +99,17 @@ class _Welford:
         return sample_std / math.sqrt(self.n)
 
 
-def _batch_stats(x: np.ndarray) -> tuple:
-    """(count, mean, sum of squared deviations) of a nonempty batch."""
-    return x.size, float(np.mean(x)), float(np.var(x)) * x.size
+def _stats(x: np.ndarray, scale: float = 1.0) -> tuple:
+    """(count, mean, sum of squared deviations) of ``scale * x``; overwrites x."""
+    mean = float(x.mean())
+    x -= mean
+    # einsum, not np.dot: BLAS's sum depends on its thread count and CPU kernel
+    m2 = float(np.einsum("i,i->", x, x))
+    return x.size, scale * mean, scale * scale * m2
 
 
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, shard))))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, shard))))
 
 
 def _executor() -> ThreadPoolExecutor:
@@ -147,6 +156,7 @@ def mc_capacity(
     """
     scheme = Scheme(scheme)
     _check_power(S)
+    seed = _check_positive_int(seed, "seed", minimum=0)
     n_samples = _check_positive_int(n_samples, "n_samples", minimum=2)
     if scheme is Scheme.AWGN:
         raise ValueError("the AWGN reference is deterministic; nothing to sample")
@@ -169,12 +179,11 @@ def mc_capacity(
         d_max = tci_dmax(dist, z_t)
     elif scheme is Scheme.CTCI:
         d_max = ctci_dmax(dist, z_t)
+    kernel = _scheme_kernel(scheme, dist, S, z_t, d_max)
 
     def shard_stats(shard):
         m = min(SHARD_SIZE, n_samples - shard * SHARD_SIZE)
-        z = dist.sampler(_shard_rng(seed, shard), m)
-        rate, power = _rate_and_power(scheme, dist, S, z, z_t, d_max)
-        return _batch_stats(rate), _batch_stats(power)
+        return kernel(dist.sampler(_shard_rng(seed, shard), m))
 
     rate_acc = _Welford()
     power_acc = _Welford()
@@ -193,27 +202,56 @@ def mc_capacity(
     )
 
 
-def _rate_and_power(scheme, dist, S, z, z_t, d_max):
-    """Per-sample rate log(1 + S D(z) z) and power ratio D(z)."""
+def _scheme_kernel(scheme, dist, S, z_t, d_max):
+    """``kernel(z)``: the statistics of the rate log(1 + S D(z) z) and of the
+    power ratio D(z) over one shard's gains z, which it overwrites."""
     if scheme is Scheme.RA:
-        return np.log1p(S * z), np.ones_like(z)
+        def ra(z):
+            z *= S
+            return _stats(np.log1p(z, out=z)), (z.size, 1.0, 0.0)
+
+        return ra
     if scheme is Scheme.CI:
-        rate = np.full_like(z, math.log1p(S / dist.inverse_mean))
-        return rate, 1.0 / (dist.inverse_mean * z)
+        rate = math.log1p(S / dist.inverse_mean)
+
+        def ci(z):
+            return (z.size, rate, 0.0), _stats(np.reciprocal(z, out=z), 1.0 / dist.inverse_mean)
+
+        return ci
     if scheme is Scheme.OA:
-        # above the cutoff the received SNR is z/z_t - 1, so the rate
-        # collapses to log(z / z_t)
-        active = z > z_t
-        rate = np.where(active, np.log(np.maximum(z, z_t) / z_t), 0.0)
-        power = np.where(active, (1.0 / z_t - 1.0 / np.maximum(z, z_t)) / S, 0.0)
-        return rate, power
+        def oa(z):
+            # above the cutoff the received SNR is z/z_t - 1, so with
+            # y = max(z, z_t) / z_t the rate is log y and the power
+            # (1 - 1/y) / (S z_t); both are exactly 0 where y = 1
+            y = np.maximum(z, z_t, out=z)
+            y /= z_t
+            rate = np.log(y)
+            np.reciprocal(y, out=y)
+            return _stats(rate), _stats(np.subtract(1.0, y, out=y), 1.0 / (S * z_t))
+
+        return oa
     if scheme is Scheme.TCI:
-        active = z >= z_t
-        rate = np.where(active, math.log1p(S * d_max * z_t), 0.0)
-        power = np.where(active, d_max * z_t / np.maximum(z, z_t), 0.0)
-        return rate, power
-    # CTCI
-    capped = z < z_t
-    power = np.where(capped, d_max, d_max * z_t / np.maximum(z, z_t))
-    rate = np.log1p(S * power * z)
-    return rate, power
+        rate = math.log1p(S * d_max * z_t)
+
+        def tci(z):
+            # the rate is `rate` on the k active samples and 0 on the others;
+            # the power is zeroed by a product with the mask, which costs a
+            # fraction of np.where or a masked store
+            m = z.size
+            active = z >= z_t
+            k = int(np.count_nonzero(active))
+            np.maximum(z, z_t, out=z)  # no z_t / 0 = inf to meet a 0 in the mask
+            np.divide(z_t, z, out=z)
+            z *= active
+            return (m, rate * k / m, rate * rate * k * (m - k) / m), _stats(z, d_max)
+
+        return tci
+    # CTCI: power d_max min(1, z_t / z), so S D(z) z = S d_max min(z, z_t)
+    def ctci(z):
+        rate = np.minimum(z, z_t)
+        rate *= S * d_max
+        np.log1p(rate, out=rate)
+        np.maximum(z, z_t, out=z)
+        return _stats(rate), _stats(np.divide(z_t, z, out=z), d_max)
+
+    return ctci

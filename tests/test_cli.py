@@ -395,26 +395,26 @@ MC_RECORDS = [
         ["--dist", "miso:N=2,K=2", "--scheme", "oa"],
         '{"scheme": "oa", '
         '"snr_db": 10.0, '
-        '"mean_nats": 3.2176407690169766, '
-        '"mean_bits": 4.642074380822943, '
-        '"std_error_nats": 0.0012551706668451647, '
+        '"mean_nats": 3.2178881935028296, '
+        '"mean_bits": 4.642431338901678, '
+        '"std_error_nats": 0.0012548497573128972, '
         '"n_samples": 200000, '
         '"seed": 7, '
-        '"power_mean": 1.0000033708679021, '
-        '"power_std_error": 8.221999571781409e-05, '
+        '"power_mean": 1.0000259776712306, '
+        '"power_std_error": 8.202771782596007e-05, '
         '"degenerate": false}',
     ),
     (
         ["--dist", "gamma:N=2", "--scheme", "ctci", "--zt", "1"],
         '{"scheme": "ctci", '
         '"snr_db": 10.0, '
-        '"mean_nats": 2.6767612534632828, '
-        '"mean_bits": 3.861750186015204, '
-        '"std_error_nats": 0.0007667490779078183, '
+        '"mean_nats": 2.676392911630484, '
+        '"mean_bits": 3.861218781079673, '
+        '"std_error_nats": 0.0007689910160563903, '
         '"n_samples": 200000, '
         '"seed": 7, '
-        '"power_mean": 0.9996899648199004, '
-        '"power_std_error": 0.0010240869057636802, '
+        '"power_mean": 1.0006391900059308, '
+        '"power_std_error": 0.0010259038825941103, '
         '"degenerate": false}',
     ),
 ]
@@ -426,6 +426,14 @@ def test_mc_output_is_byte_identical(capsys, flags, expected):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert out == expected + "\n"
+
+
+def test_mc_negative_seed_exits_2(capsys):
+    argv = ["mc", "--dist", "gamma:N=2", "--scheme", "ra", "--snr-db", "10", "--seed", "-1"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be an integer >= 0, got -1\n"
 
 
 class TestVerifyCommand:

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import re
 import sys
 import threading
 
@@ -19,7 +20,14 @@ from fadecap.distributions import (
     make_tabulated,
 )
 from fadecap.mc import SHARD_SIZE, McEstimate, _shard_rng, mc_capacity
-from fadecap.schemes import Scheme, capacity, oa_threshold, ra_capacity
+from fadecap.schemes import (
+    Scheme,
+    capacity,
+    ctci_dmax,
+    oa_threshold,
+    ra_capacity,
+    tci_dmax,
+)
 
 
 def spike_at(center, width=1e-4):
@@ -63,32 +71,73 @@ class TestReproducibility:
         assert 0.7 <= ratio <= 1.4
 
 
+# the TCI and CTCI thresholds of 1e-6 and 40 lie below and above every
+# miso:N=2,K=2 sample of the test below
+MERGE_CASES = [
+    pytest.param(Scheme.RA, None, id="ra"),
+    pytest.param(Scheme.OA, None, id="oa"),
+    pytest.param(Scheme.CI, None, id="ci"),
+    pytest.param(Scheme.TCI, 1.0, id="tci"),
+    pytest.param(Scheme.TCI, 1e-6, id="tci-below-all"),
+    pytest.param(Scheme.TCI, 40.0, id="tci-above-all"),
+    pytest.param(Scheme.CTCI, 1.0, id="ctci"),
+    pytest.param(Scheme.CTCI, 1e-6, id="ctci-below-all"),
+    pytest.param(Scheme.CTCI, 40.0, id="ctci-above-all"),
+]
+
+
 class TestShardedMerge:
-    @pytest.mark.parametrize("scheme", [Scheme.RA, Scheme.OA])
-    def test_merge_matches_direct_statistics(self, scheme):
-        # rebuild the per-shard draws and compare the streaming merge with
-        # the mean and sample deviation of all samples at once
+    @pytest.mark.parametrize("scheme, z_t", MERGE_CASES)
+    def test_merge_matches_direct_statistics(self, scheme, z_t):
+        # rebuild the per-shard draws, the last one partial, and compare the
+        # kernels and the streaming merge with the mean and sample deviation
+        # of all samples at once
         miso = make_miso_multiuser(2, 2)
         S, seed = 10.0, 4
         n = 3 * SHARD_SIZE + 17
-        est = mc_capacity(miso, scheme, S, n_samples=n, seed=seed)
+        est = mc_capacity(miso, scheme, S, z_t=z_t, n_samples=n, seed=seed)
         sizes = [SHARD_SIZE] * 3 + [17]
         z = np.concatenate([miso.sampler(_shard_rng(seed, i), m) for i, m in enumerate(sizes)])
         if scheme is Scheme.RA:
             rate, power = np.log1p(S * z), np.ones_like(z)
-        else:
+        elif scheme is Scheme.OA:
             z_t = oa_threshold(miso, S).z_t
             zc = np.maximum(z, z_t)
             rate = np.where(z > z_t, np.log(zc / z_t), 0.0)
             power = np.where(z > z_t, (1.0 / z_t - 1.0 / zc) / S, 0.0)
+        elif scheme is Scheme.CI:
+            rate = np.full_like(z, math.log1p(S / miso.inverse_mean))
+            power = 1.0 / (miso.inverse_mean * z)
+        elif scheme is Scheme.TCI:
+            d_max = tci_dmax(miso, z_t)
+            active = z >= z_t
+            rate = np.where(active, math.log1p(S * d_max * z_t), 0.0)
+            power = np.where(active, d_max * z_t / np.maximum(z, z_t), 0.0)
+        else:
+            d_max = ctci_dmax(miso, z_t)
+            power = np.where(z < z_t, d_max, d_max * z_t / np.maximum(z, z_t))
+            rate = np.log1p(S * power * z)
+        if z_t == 1e-6:
+            assert np.all(z >= z_t)  # k = m
+        if z_t == 40.0:
+            assert not np.any(z >= z_t)  # k = 0
+
         def within(rel, expected):
             return pytest.approx(expected, rel=rel, abs=0.0)
+
+        def spread_within(rel, x):
+            # plus the reference's own rounding, a few ulps of max |x|: it is
+            # all the reference sees where the true spread is 0 (a constant
+            # CI rate, or the CTCI rate log1p(S * power * z) with every
+            # sample capped), which the kernels give as exactly 0
+            floor = 4.0 * np.finfo(float).eps * np.max(np.abs(x)) / root_n
+            return pytest.approx(np.std(x, ddof=1) / root_n, rel=rel, abs=floor)
 
         root_n = math.sqrt(n)
         assert est.mean_nats == within(1e-14, np.mean(rate))
         assert est.power_mean == within(1e-14, np.mean(power))
-        assert est.std_error == within(1e-10, np.std(rate, ddof=1) / root_n)
-        assert est.power_std_error == within(1e-10, np.std(power, ddof=1) / root_n)
+        assert est.std_error == spread_within(1e-10, rate)
+        assert est.power_std_error == spread_within(1e-10, power)
 
 
 ALL_SCHEMES = (Scheme.OA, Scheme.RA, Scheme.CI, Scheme.TCI, Scheme.CTCI)
@@ -273,3 +322,17 @@ class TestDegenerateAndErrors:
     def test_bad_sample_count_rejected(self, gamma2, n):
         with pytest.raises(ValueError, match="n_samples"):
             mc_capacity(gamma2, Scheme.RA, 1.0, n_samples=n)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, True, -1, "3", math.nan])
+    def test_bad_seed_rejected(self, gamma2, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+            mc_capacity(gamma2, Scheme.RA, 1.0, n_samples=100, seed=seed)
+
+    def test_bad_seed_rejected_before_degenerate_shortcut(self):
+        with pytest.raises(ValueError, match="seed"):
+            mc_capacity(make_gamma_diversity(1), Scheme.CI, 1.0, n_samples=100, seed=-1)
+
+    def test_integral_float_seed_is_accepted(self, gamma2):
+        est = mc_capacity(gamma2, Scheme.RA, 1.0, n_samples=100, seed=2.0)
+        assert est == mc_capacity(gamma2, Scheme.RA, 1.0, n_samples=100, seed=2)
+        assert type(est.seed) is int
