@@ -39,18 +39,19 @@ point at a time; an array argument returns an array of the same shape.
 Every factory supplies the survival function ``sf`` = 1 - F in a form
 that keeps its digits where F is near 1 (``_validate`` checks
 sf + cdf = 1 at the law's knots). ``survival_table``, a
-``numerics.SurvivalTable`` built from ``sf``, gives the OA constraint,
-the OA capacity and the RA capacity with no quadrature, and its nodes,
-with the density at them, give CTCI's region below its cutoff.
+``numerics.SurvivalTable`` built from ``sf`` and the density when the law
+is built, gives the OA constraint, the OA capacity and the RA capacity
+with no quadrature, and its nodes, with the density at them, give CTCI's
+region below its cutoff. It also builds the law: a factory passes None
+for a moment with no closed form, and ``_validate`` sums it on the
+table's nodes, and checks the law's mass and mean there, with no
+adaptive quadrature.
 
 Every other expectation E[g(z)] goes through ``FadingDistribution.expect``,
-moments included: a factory passes None for a moment with no closed
-form, and ``_validate`` integrates it through ``expect`` while the law
-is built. ``expect`` picks its rule from the support alone: adaptive
-QUADPACK on an unbounded support, and on a bounded one a sum over the
-survival table's nodes, whose panels lie between the law's knots. A
-tabulated law's knots are its grid, and a scaled law's are its base
-law's, scaled.
+which picks its rule from the support alone: adaptive QUADPACK on an
+unbounded support, and on a bounded one a sum over the survival table's
+nodes, whose panels lie between the law's knots. A tabulated law's knots
+are its grid, and a scaled law's are its base law's, scaled.
 
 Distributions are immutable after construction; samplers take an
 explicit numpy Generator so callers own all random state. A sampler
@@ -77,14 +78,14 @@ from scipy import special
 
 from .numerics import (
     EULER_MASCHERONI,
-    QuadratureError,
     SurvivalTable,
     integrate_finite,
     integrate_semi_infinite,
 )
 
-# Moments feed high-SNR gap formulas that are checked to 1e-10, so they
-# are integrated well past the capacity-integral tolerance.
+# Tail functionals and moments feed high-SNR gap formulas that are checked
+# to 1e-10, so ``expect`` integrates well past the capacity-integral
+# tolerance.
 MOMENT_REL_TOL = 1e-12
 
 _MASS_TOL = 1e-9
@@ -122,8 +123,7 @@ def _as_float_or_array(z, compute_pos, at_zero: float = 0.0):
     ``_limit_at_inf``). A float argument (a Python float, or
     ``np.float64``) takes a direct path with no array allocation and
     returns a Python float: QUADPACK calls densities one point at a time,
-    and takes this path for an unbounded law's moments and for T(t)
-    without a closed form.
+    and takes this path for T(t) without a closed form.
     ``compute_pos`` therefore gets either an array or an ``np.float64``
     scalar and must accept both.
     """
@@ -187,9 +187,9 @@ class FadingDistribution:
 
     ``mean``, ``inverse_mean`` and ``log_mean`` are closed forms where the
     factory has them (a factory passes None otherwise, and ``_validate``
-    integrates the moment). ``tail_inverse`` gives T(t) = E[1/z; z > t]
-    for t > 0 without integrating this law's density: a closed form, or
-    for a scaled law the base law's T. When it is None,
+    sums the moment on the survival table). ``tail_inverse`` gives
+    T(t) = E[1/z; z > t] for t > 0 without integrating this law's density:
+    a closed form, or for a scaled law the base law's T. When it is None,
     ``tail_inverse_integral`` integrates T through ``expect``. ``sf`` is
     the survival function 1 - F (1 below 0), in a form that keeps its
     digits where F is near 1.
@@ -231,7 +231,8 @@ class FadingDistribution:
         arrays, and ``rel_tol`` is not used. On an unbounded support QUADPACK
         integrates adaptively to ``rel_tol``, with subdivision forced at the
         law's knots: the table stops where sf is spent, and on a heavy tail
-        a head mean to t past its top would lose up to t sf(top).
+        a head mean to t past its top would lose up to t sf(top). No law's
+        construction calls ``expect``; T(t) without a closed form does.
         """
         bounded = self.support_sup < math.inf
         upper = self.support_sup if hi is None else min(hi, self.support_sup)
@@ -248,10 +249,10 @@ class FadingDistribution:
 
     @functools.cached_property
     def survival_table(self) -> SurvivalTable:
-        """The law's ``SurvivalTable``, built from ``sf`` on first use: a
-        bounded law's first ``expect`` (for a tabulated law, in
-        ``_validate``), and an unbounded law's first OA, RA or CTCI call."""
-        return SurvivalTable(self.sf, self.cdf, self.quad_knots, self.support_sup)
+        """The law's ``SurvivalTable``, built from ``sf``, ``cdf`` and ``pdf``
+        at construction: every factory's ``_validate`` builds it and checks
+        the law on it. A scaled law builds its own on first use."""
+        return SurvivalTable(self.sf, self.cdf, self.pdf, self.quad_knots, self.support_sup)
 
     def tail_inverse_integral(self, t: float) -> float:
         """T(t): integral of pdf(z)/z over [t, support top); T(0) = E[1/z].
@@ -309,20 +310,23 @@ class FadingDistribution:
         )
 
 
-# Integrands of the moments a factory may leave as None. They take the
-# floats QUADPACK passes point by point on an unbounded law and the node
-# arrays of a bounded law's survival table.
+# Integrands of the moments a factory may leave as None, on the node arrays
+# of the law's survival table.
 _MOMENT_INTEGRANDS = {"mean": lambda z: z, "inverse_mean": lambda z: 1.0 / z, "log_mean": np.log}
 
 
-def _validate(dist: FadingDistribution) -> FadingDistribution:
-    """Construction-time sanity checks shared by all factories.
+def _validate(dist: FadingDistribution, sf_past_top: Callable = None) -> FadingDistribution:
+    """Construction-time sanity checks shared by all factories, on the law's
+    ``survival_table``, which is built here, with no adaptive quadrature.
 
-    A moment the factory left as None has no closed form; it is integrated
-    here through ``expect`` to ``MOMENT_REL_TOL`` and set on the law, which
-    is still being built, so that a survival table the integration built
-    stays with it. A closed-form mean is cross-checked by quadrature, and
-    ``sf`` is checked against the CDF at the knots.
+    ``sf`` is checked against the CDF at the knots. A moment the factory
+    left as None has no closed form; it is summed on the table's nodes
+    (``SurvivalTable.expectation``) and set on the law, which is still being
+    built. The mass is the density summed on the nodes, plus F below the
+    table (``SurvivalTable.mass``). A finite mean is checked against the
+    integral of sf, an independent route: ``SurvivalTable.sf_integral``,
+    plus ``sf_past_top(top)``, the integral of sf past the table's top in
+    closed form, where a heavy tail leaves a part of the mean there.
     """
     if abs(float(dist.cdf(0.0))) > 1e-12:
         raise ValueError(f"{dist.name}: cdf(0) must be 0")
@@ -331,26 +335,22 @@ def _validate(dist: FadingDistribution) -> FadingDistribution:
         gap = np.max(np.abs(dist.sf(knots) + dist.cdf(knots) - 1.0))
         if not gap <= _SF_CHECK_TOL:
             raise ValueError(f"{dist.name}: sf + cdf deviates from 1 by {gap} at the knots")
-    integrated = [name for name in _MOMENT_INTEGRANDS if getattr(dist, name) is None]
-    for name in integrated:
-        object.__setattr__(dist, name, dist.expect(_MOMENT_INTEGRANDS[name]))
+    table = dist.survival_table
+    # a bounded law's density starts at its first knot, as in ``expect``
+    bottom = dist.quad_knots[0] if dist.support_sup < math.inf and dist.quad_knots else 0.0
+    for name, g in _MOMENT_INTEGRANDS.items():
+        if getattr(dist, name) is None:
+            object.__setattr__(dist, name, table.expectation(g, dist.pdf, bottom, dist.support_sup))
     # written as "not within" so that a NaN fails each check
-    mass = dist.expect(rel_tol=1e-10)
-    if not abs(mass - 1.0) <= _MASS_TOL:
-        raise ValueError(f"{dist.name}: density mass {mass} deviates from 1")
-    # a mean integrated above would only be checked against itself
-    if dist.mean_finite and "mean" not in integrated:
-        try:
-            mean_quad, quad_err = dist.expect(lambda z: z, rel_tol=1e-10), 0.0
-        except QuadratureError as exc:
-            # a tail near z^-2 in the density (Frechet with alpha just above
-            # 1) keeps QUADPACK short of its tolerance; its best estimate is
-            # then checked within its own error bound
-            mean_quad, quad_err = exc.partial.value, exc.partial.abs_error_estimate
-        tolerance = _MEAN_CROSS_CHECK_RTOL * max(abs(dist.mean), 1.0) + quad_err
-        if not abs(mean_quad - dist.mean) <= tolerance:
+    if not abs(table.mass - 1.0) <= _MASS_TOL:
+        raise ValueError(f"{dist.name}: density mass {table.mass} deviates from 1")
+    if not math.isinf(dist.mean):
+        mean_sf = table.sf_integral
+        if sf_past_top is not None:
+            mean_sf += sf_past_top(math.exp(table.u_edges[-1]))
+        if not abs(mean_sf - dist.mean) <= _MEAN_CROSS_CHECK_RTOL * max(abs(dist.mean), 1.0):
             raise ValueError(
-                f"{dist.name}: mean {dist.mean} vs quadrature {mean_quad} mismatch"
+                f"{dist.name}: mean {dist.mean} vs integral of sf {mean_sf} mismatch"
             )
     return dist
 
@@ -452,7 +452,7 @@ def make_max_exponential(K) -> FadingDistribution:
     mean is the K-th harmonic number; diversity order K. E[1/z] and
     E[log z] have no stable closed form for general K (the alternating
     binomial sums cancel catastrophically), so from K = 3 up they are
-    left to ``_validate``, which integrates them through ``expect``;
+    left to ``_validate``, which sums them on the survival table;
     K = 1, 2 have exact values.
     """
     K = _check_positive_int(K, "K")
@@ -565,7 +565,9 @@ def make_frechet(alpha: float, K=1) -> FadingDistribution:
         sampler=sampler,
         sf=sf,
     )
-    return _validate(dist)
+    # past the table's top sf is K z^-alpha to within a part in 1e20
+    rest = (lambda top: K * top ** (1.0 - alpha) / (alpha - 1.0)) if alpha > 1.0 else None
+    return _validate(dist, sf_past_top=rest)
 
 
 def make_miso_multiuser(N, K) -> FadingDistribution:
@@ -574,7 +576,7 @@ def make_miso_multiuser(N, K) -> FadingDistribution:
     pdf K P(N,z)^(K-1) z^(N-1) e^(-z) / Gamma(N), cdf P(N,z)^K, with P
     the regularized lower incomplete Gamma. E[1/z] is finite iff
     max(N, K) >= 2. The moments have no closed form, so they are left to
-    ``_validate``, which integrates them through ``expect``. Diversity
+    ``_validate``, which sums them on the survival table. Diversity
     order N*K.
     """
     N = _check_positive_int(N, "N")
@@ -769,8 +771,8 @@ def make_tabulated(grid) -> FadingDistribution:
     mass. The tail functional T sums each segment's integral of p(z)/z
     in closed form, and E[1/z] is T at the grid's first point. E[z],
     E[log z] and every other expectation are summed on the survival
-    table, whose panels lie within the segments (``_validate`` integrates
-    the two moments while the law is built). Sampling inverts the
+    table, whose panels lie within the segments (``_validate`` sums the
+    two moments while the law is built). Sampling inverts the
     piecewise-quadratic CDF, and the diversity order is estimated from the
     log-log slope of the CDF over the 5 smallest usable grid points.
     """

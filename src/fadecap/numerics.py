@@ -10,7 +10,9 @@ so exponential, power-law and extreme-value tails are all handled by the
 same adaptive rule. Adaptive quadrature, derivative-free root finding
 and maximization are delegated to scipy (QUADPACK, Brent's root finder
 and bounded Brent minimization) behind the interfaces below; the survival
-tables and the Newton iteration are implemented here.
+tables and the Newton iteration are implemented here. scipy.integrate and
+scipy.optimize are imported on first use, inside the functions that call
+them: building a gain law and a sweep without ``tci:opt`` need neither.
 
 A ``SurvivalTable`` integrates a survival function sf = 1 - F once, on
 20-node Gauss-Legendre panels in u = log z, and keeps the sums of the
@@ -18,9 +20,10 @@ panels from the top. Integration by parts writes the OA power constraint,
 the OA capacity and the RA capacity as integrals of sf alone, with
 positive integrands, so each is a table lookup plus one partial panel, or
 one dot product over the stored nodes. An integral of g times the density
-over a range (CTCI's region below its cutoff, and every expectation on a
-bounded support) takes the same nodes, with the density evaluated at each
-query.
+over a range (CTCI's region below its cutoff, every expectation on a
+bounded support and a law's moments) takes the same nodes, with the
+density evaluated at each query. The density at the nodes also gives the
+law's mass, and the nodes' sf its mean, which the law checks when built.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
-from scipy.integrate import quad
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -50,6 +51,11 @@ _QUAD_LIMIT = 250
 # of sf(y)/y dy above it drops below SF_TABLE_CUT.
 _SF_NODES, _SF_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _PANELS_PER_UNIT = 4
+# A panel is split in two while its sum of w sf/y, w sf or w y pdf differs
+# from the sum over its halves by more than _SPLIT_ULPS ulps of the table's
+# total of that integrand; a half is split at most _MAX_SPLITS times over.
+_SPLIT_ULPS = 4.0
+_MAX_SPLITS = 30
 SF_TABLE_CUT = 1e-20
 # The ends are searched on a grid of this step in u, inside |u| <= 700,
 # where z and 1/z stay normal floats.
@@ -122,6 +128,8 @@ def integrate_finite(
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     if a == b:
         return QuadResult(0.0, 0.0, 1)
+    from scipy.integrate import quad
+
     points = sorted(k for k in knots if a < k < b) or None
     out = quad(
         f,
@@ -179,21 +187,69 @@ def _u_panel(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(0.5 * (a + b) + half * _SF_NODES), half * _SF_WEIGHTS
 
 
+def _u_panels(sf: Callable, pdf: Callable, a: np.ndarray, b: np.ndarray):
+    """Nodes y, one row per panel [a_i, b_i] in u, their weights w, w sf(y)
+    and w y pdf(y)."""
+    half = 0.5 * (b - a)[:, None]
+    y = np.exp(0.5 * (a + b)[:, None] + half * _SF_NODES)
+    w = half * _SF_WEIGHTS
+    return y, w, w * sf(y), w * y * pdf(y)
+
+
+def _panel_sums(sf: Callable, pdf: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The integrals of sf/y, sf and y pdf over each panel [a_i, b_i] in u,
+    one row per panel."""
+    y, _, w_sf, w_y_pdf = _u_panels(sf, pdf, a, b)
+    return np.stack((np.sum(w_sf / y, axis=1), np.sum(w_sf, axis=1), np.sum(w_y_pdf, axis=1)),
+                    axis=1)
+
+
+def _refined_edges(sf: Callable, pdf: Callable, edges: list) -> list:
+    """``edges`` with each panel split in halves, and the halves in turn,
+    while the panel's three sums (``_panel_sums``) differ from those of its
+    halves by more than ``_SPLIT_ULPS`` ulps of their totals over the table:
+    the adaptive rule's error estimate, on what the table stores."""
+    e = np.asarray(edges)
+    a, b = e[:-1], e[1:]
+    whole = _panel_sums(sf, pdf, a, b)
+    tol = _SPLIT_ULPS * _EPS * np.abs(np.sum(whole, axis=0))
+    kept = []
+    for _ in range(_MAX_SPLITS):
+        m = 0.5 * (a + b)
+        left, right = _panel_sums(sf, pdf, a, m), _panel_sums(sf, pdf, m, b)
+        # written so that a NaN splits nothing
+        split = np.any(np.abs(whole - (left + right)) > tol, axis=1)
+        kept.append(a[~split])
+        if not split.any():
+            break
+        a, b = np.concatenate((a[split], m[split])), np.concatenate((m[split], b[split]))
+        whole = np.concatenate((left[split], right[split]))
+    else:
+        kept.append(a)
+    return [*np.sort(np.concatenate(kept)).tolist(), edges[-1]]
+
+
 class SurvivalTable:
     """Tail integrals of a survival function sf = 1 - F, tabulated once.
 
     Holds, at the edges of its panels, P(z) = integral of sf(y)/y^2 over
     [z, inf), which is E[(1/z - 1/Z)+], and C(z) = integral of sf(y)/y,
     which is E[log(Z/z); Z > z], and keeps every node y with w y and
-    w sf(y), for its weight w in u. ``sf`` and ``cdf`` take arrays of
-    z > 0; ``knots`` are points where the law may be rough, and every
-    panel lies between two of them.
+    w sf(y), for its weight w in u. ``sf``, ``cdf`` and the density ``pdf``
+    take arrays of z > 0; ``knots`` are points where the law may be rough,
+    and every panel lies between two of them. The panels start at about
+    ``_PANELS_PER_UNIT`` to a unit of u and are halved where a panel's
+    integrals of sf/y, sf and y pdf miss those of its halves
+    (``_refined_edges``), so a sharply peaked law gets narrow panels at its
+    peak.
     Below the table's lower end ``lo`` F is under ``SF_TABLE_CUT``, so sf
     is taken as 1 there and P, C and RA have closed forms; above its top
-    sf is taken as 0.
+    sf is taken as 0. ``mass`` is the density's integral over the nodes
+    plus F(lo), and ``sf_integral`` the integral of sf over [0, top], which
+    is E[Z] when no mass is left past the top.
     """
 
-    def __init__(self, sf: Callable, cdf: Callable, knots: Sequence[float] = (),
+    def __init__(self, sf: Callable, cdf: Callable, pdf: Callable, knots: Sequence[float] = (),
                  top: float = math.inf):
         self.sf = sf
         positive = sorted(float(k) for k in knots if 0.0 < k < top)
@@ -205,18 +261,18 @@ class SurvivalTable:
         for a, b in zip(breaks[:-1], breaks[1:]):
             n = max(1, math.ceil(_PANELS_PER_UNIT * (b - a)))
             edges.extend(np.linspace(a, b, n + 1)[1:].tolist())
-        self.u_edges = edges
-        e = np.asarray(edges)
-        half = 0.5 * np.diff(e)[:, None]
-        y = np.exp(0.5 * (e[1:] + e[:-1])[:, None] + half * _SF_NODES)
-        w = half * _SF_WEIGHTS
-        w_sf = w * sf(y)
+        self.u_edges = _refined_edges(sf, pdf, edges)
+        e = np.asarray(self.u_edges)
+        y, w, w_sf, w_y_pdf = _u_panels(sf, pdf, e[:-1], e[1:])
         self.P_edges = _sum_from_top(np.sum(w_sf / y, axis=1))
         self.C_edges = _sum_from_top(np.sum(w_sf, axis=1))
         # C(lo) + log lo: E[log Z], to within the F < SF_TABLE_CUT below lo
         self._log_mean = float(self.C_edges[0]) + math.log(self.lo)
         self._neg_P = -self.P_edges
         self._y, self._wy, self._w_sf = y.ravel(), (w * y).ravel(), w_sf.ravel()
+        self.mass = float(np.sum(w_y_pdf)) + float(cdf(self.lo))
+        # sf is 1 below lo, to within F < SF_TABLE_CUT
+        self.sf_integral = self.lo + float(np.dot(self._w_sf, self._y))
 
     @staticmethod
     def _lower_end(cdf, knots) -> float:
@@ -348,6 +404,8 @@ def find_root_monotone(
             f"no sign change on [{bracket.lo}, {bracket.hi}]: g(lo)={g_lo}, g(hi)={g_hi}"
         )
     if dg is None:
+        from scipy import optimize
+
         root = optimize.brentq(g, bracket.lo, bracket.hi, xtol=tol, maxiter=200)
         return float(root)
     return _safeguarded_newton(g, dg, bracket.lo, g_lo, bracket.hi, tol)
@@ -415,6 +473,8 @@ def maximize_unimodal(
     right = float(grid[min(best + 1, grid_points - 1)])
     if left == right:
         return best_x, best_val
+    from scipy import optimize
+
     refined = optimize.minimize_scalar(
         lambda u: -h(from_u(u)),
         bounds=(to_u(left), to_u(right)),

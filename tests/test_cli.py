@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +187,39 @@ class TestCapacityCommand:
         assert json.loads(out_gamma)["capacity_nats"] == pytest.approx(
             json.loads(out_z)["capacity_nats"], rel=1e-12
         )
+
+
+# Run in a fresh interpreter: builds one law of each kind and sweeps the six
+# default schemes on gamma:N=2 and a tabulated law, then prints the scipy
+# modules it holds that law construction and such a sweep do not need.
+FRESH_SWEEP = """
+import contextlib, io, sys
+import fadecap.cli as cli
+tab = "tab:path=" + sys.argv[1]
+for spec in ("gamma:N=2", "maxexp:K=4", "miso:N=2,K=2", "frechet:alpha=0.8", tab):
+    cli.parse_distribution_spec(spec).build()
+for spec in ("gamma:N=2", tab):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["sweep", "--dist", spec, "--schemes",
+                         "awgn,oa,ra,ci,tci:zt=1,ctci:zt=1", "--snr-db=-60:90:5"]) == 0
+print(",".join(m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg")
+               if m in sys.modules))
+"""
+
+
+def test_builds_and_default_sweeps_import_no_quadrature_or_optimizer(tmp_path):
+    # scipy.integrate and scipy.optimize (which pulls in scipy.linalg) are
+    # imported on first use: no law construction and no sweep without
+    # tci:opt needs them
+    tab3 = tmp_path / "tab3.csv"
+    tab3.write_text("".join(f"{z!r},{p!r}\n" for z, p in workloads.tab_grid(3)),
+                    encoding="utf-8")
+    src = str(Path(distributions.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", FRESH_SWEEP, str(tab3)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 class TestSweepCommand:

@@ -254,6 +254,11 @@ class TestMaximizeUnimodal:
         assert (x, v) == (float(grid[grid >= 1.0][0]), 1.0)
 
 
+# (sf, cdf, pdf) of Z uniform on [1, 2] and of the exponential law
+UNIFORM_1_2 = (lambda z: np.clip(2.0 - z, 0.0, 1.0), lambda z: np.clip(z - 1.0, 0.0, 1.0),
+               lambda z: np.where((1.0 <= z) & (z <= 2.0), 1.0, 0.0))
+EXPONENTIAL = (lambda z: np.exp(-z), lambda z: -np.expm1(-z), lambda z: np.exp(-z))
+
 
 class TestSurvivalTable:
     """P(z) = int_z^inf sf/y^2, C(z) = int_z^inf sf/y and E[log(1 + sZ)]
@@ -264,9 +269,10 @@ class TestSurvivalTable:
         # sf = 1 below it exactly; it stops at the support top
         # The nodes are exp(u), rounded, so sf = 2 - y next to the top is off
         # by about an ulp of 2: 6.6e-14 relative on P(1.999) = 1.3e-7
-        table = SurvivalTable(lambda z: np.clip(2.0 - z, 0.0, 1.0),
-                              lambda z: np.clip(z - 1.0, 0.0, 1.0), knots=(1.0, 2.0), top=2.0)
+        table = SurvivalTable(*UNIFORM_1_2, knots=(1.0, 2.0), top=2.0)
         assert table.lo == 1.0 and math.exp(table.u_edges[-1]) == pytest.approx(2.0)
+        assert table.mass == pytest.approx(1.0, rel=1e-15)
+        assert table.sf_integral == pytest.approx(1.5, rel=1e-15)
         with mp.workdps(30):
             for z in (1e-9, 0.3, 1.0, 1.2, 1.7, 1.999, 2.0, 5.0):
                 x = mp.mpf(z)
@@ -285,8 +291,10 @@ class TestSurvivalTable:
 
     def test_exponential_law_from_below_its_lower_end_to_past_its_top(self):
         # sf = e^-z: P = e^-z/z - E1(z) and C = E1(z)
-        table = SurvivalTable(lambda z: np.exp(-z), lambda z: -np.expm1(-z))
+        table = SurvivalTable(*EXPONENTIAL)
         assert table.lo < 1e-19 and table.u_edges[-1] > math.log(40.0)
+        assert table.mass == pytest.approx(1.0, rel=1e-15)
+        assert table.sf_integral == pytest.approx(1.0, rel=1e-15)
         for z in (*np.geomspace(1e-25, 30.0, 40), 60.0):
             P, C = table.tails(float(z))
             assert P == pytest.approx(math.exp(-z) / z - special.exp1(z), rel=1e-14), z
@@ -300,9 +308,8 @@ class TestSurvivalTable:
     def test_expectation_on_a_bounded_support(self):
         # Z uniform on [1, 2]: the integral of y pdf(y) over [1, t] is
         # (t^2 - 1)/2, 0 below the table and all of E[Z] past its top
-        table = SurvivalTable(lambda z: np.clip(2.0 - z, 0.0, 1.0),
-                              lambda z: np.clip(z - 1.0, 0.0, 1.0), knots=(1.0, 2.0), top=2.0)
-        pdf = lambda y: np.where((1.0 <= y) & (y <= 2.0), 1.0, 0.0)
+        table = SurvivalTable(*UNIFORM_1_2, knots=(1.0, 2.0), top=2.0)
+        pdf = UNIFORM_1_2[2]
         for t, expected in ((0.5, 0.0), (1.0, 0.0), (1.3, 0.345), (2.0, 1.5), (5.0, 1.5)):
             assert table.expectation(lambda y: y, pdf, top=t) == pytest.approx(
                 expected, rel=1e-14, abs=0.0), t
@@ -310,7 +317,7 @@ class TestSurvivalTable:
     def test_expectation_of_log1p_on_the_exponential_law(self):
         # E[log(1 + aZ); Z < t] = e^(1/a) [E1(1/a) - E1(t + 1/a)] - e^-t log(1 + at)
         # for the exponential law, whose density is its survival function
-        table = SurvivalTable(lambda z: np.exp(-z), lambda z: -np.expm1(-z))
+        table = SurvivalTable(*EXPONENTIAL)
         with mp.workdps(30):
             for a in (1e-6, 1.0, 1e9):
                 for t in (1e-3, 0.5, 3.0, 60.0):
@@ -323,10 +330,9 @@ class TestSurvivalTable:
         # Z uniform on [1, 2] with a knot at 1.5, a panel edge: the integral
         # of y pdf(y) over [b, t] is (t^2 - b^2)/2, with both ends inside one
         # panel, on panel edges, in different panels, and t past the top
-        table = SurvivalTable(lambda z: np.clip(2.0 - z, 0.0, 1.0),
-                              lambda z: np.clip(z - 1.0, 0.0, 1.0), knots=(1.0, 1.5, 2.0), top=2.0)
+        table = SurvivalTable(*UNIFORM_1_2, knots=(1.0, 1.5, 2.0), top=2.0)
         assert math.log(1.5) in table.u_edges and math.exp(table.u_edges[1]) > 1.09
-        pdf = lambda y: np.where((1.0 <= y) & (y <= 2.0), 1.0, 0.0)
+        pdf = UNIFORM_1_2[2]
         for b, t in ((1.01, 1.09), (1.0, 1.5), (1.5, 2.0), (1.2, 1.5), (1.5, 1.7),
                      (1.05, 1.95), (1.3, 5.0), (0.0, 1.5)):
             expected = 0.5 * (min(t, 2.0) ** 2 - max(b, 1.0) ** 2)
@@ -337,7 +343,8 @@ class TestSurvivalTable:
         # density y e^-y, sf = (1 + z) e^-z: F ~ z^2/2 puts lo near 1e-10,
         # and E[1/Z; b < Z < t] = e^-b - e^-t takes the part below lo, of
         # relative size lo/t, from the panel in y
-        table = SurvivalTable(lambda z: (1.0 + z) * np.exp(-z), lambda z: special.gammainc(2, z))
+        table = SurvivalTable(lambda z: (1.0 + z) * np.exp(-z), lambda z: special.gammainc(2, z),
+                              lambda z: z * np.exp(-z))
         assert 1e-11 < table.lo < 1e-9
         inverse, pdf = (lambda y: 1.0 / y), (lambda y: y * np.exp(-y))
         for b, t in ((0.0, 1e-12), (0.0, 1e-10), (0.0, 1e-3), (0.0, 3.0), (1e-12, 1e-9),
@@ -348,15 +355,32 @@ class TestSurvivalTable:
                 expected, rel=1e-14, abs=0.0), (b, t)
 
     def test_expectation_of_an_empty_range_is_zero(self):
-        table = SurvivalTable(lambda z: np.exp(-z), lambda z: -np.expm1(-z))
+        table = SurvivalTable(*EXPONENTIAL)
         calls = []
         pdf = lambda y: calls.append(y) or np.exp(-y)
         for b, t in ((2.0, 2.0), (1.5, 1.2), (0.0, 0.0), (1e-30, 0.0), (1e3, 1e4)):
             assert table.expectation(np.ones_like, pdf, b, t) == 0.0
         assert not calls
 
+    @pytest.mark.parametrize("alpha, panels", [(10.0, 22), (100.0, 12)])
+    def test_panels_split_at_a_sharp_peak(self, alpha, panels):
+        # F = exp(-z^-alpha) puts its mass within about 1/alpha of u = 0.
+        # At alpha = 100 the 4 panels to a unit of u lose 4.5e-4 of the mass
+        # on 4 panels; halving a panel wherever its halves disagree recovers
+        # it on 12, and leaves the 22 panels of the smoother law at alpha = 10
+        # as they were.
+        sf = lambda z: -np.expm1(-z ** -alpha)
+        cdf = lambda z: np.exp(-z ** -alpha)
+        pdf = lambda z: alpha * z ** (-alpha - 1.0) * np.exp(-z ** -alpha)
+        with np.errstate(over="ignore"):
+            table = SurvivalTable(sf, cdf, pdf)
+        assert len(table.u_edges) - 1 == panels
+        assert table.mass == pytest.approx(1.0, rel=2e-15)
+        # E[Z] = Gamma(1 - 1/alpha), less the 1e-18 the table leaves past its top
+        assert table.sf_integral == pytest.approx(math.gamma(1.0 - 1.0 / alpha), rel=1e-14)
+
     def test_power_panel_brackets_the_level(self):
-        table = SurvivalTable(lambda z: np.exp(-z), lambda z: -np.expm1(-z))
+        table = SurvivalTable(*EXPONENTIAL)
         assert table.power_panel(2.0 * table.P_edges[0]) == -1
         for p in (1e-12, 1e-3, 1.0, 1e9):
             k = table.power_panel(p)

@@ -166,10 +166,9 @@ class TestOaThreshold:
 ], ids=["gamma2", "miso22", "frechet08", "tab", "scaled_gamma3"])
 def test_oa_and_ra_read_a_survival_table_built_on_first_use(monkeypatch, build):
     law = build()
-    # a bounded law's expectations are summed on its table, so building the
-    # law (its mass and mean checks) builds the table; an unbounded law's is
-    # built when a scheme first reads it
-    assert ("survival_table" in vars(law)) == (law.support_sup < math.inf)
+    # a factory checks the law on its table, so building the law builds the
+    # table; a scaled law's is built when a scheme first reads it
+    assert ("survival_table" in vars(law)) == (not law.name.startswith("scaled"))
 
     def refused(*args, **kwargs):
         raise AssertionError("OA and RA must not integrate through expect")
@@ -321,6 +320,30 @@ class TestHeavyTailOaRa:
                 worst_cap = max(worst_cap, float(abs(oa.capacity_nats - cap_ref) / cap_ref))
         assert worst_cut <= 3.0 * cut_err
         assert worst_cap <= 3.0 * cap_err
+
+
+@pytest.mark.parametrize("alpha", [10.0, 20.0, 50.0, 100.0])
+def test_oa_and_ra_on_sharply_peaked_frechet_laws(alpha):
+    # frechet(alpha, 1) holds its mass within about 1/alpha of z = 1, where
+    # the survival table halves its panels. With X = Z^-alpha standard
+    # exponential, E[log(1 + S Z)] is an integral against e^-X. Worst
+    # measured: RA 1.3e-16, C_OA 4.9e-15 (alpha = 50).
+    dist = make_frechet(alpha)
+    worst = 0.0
+    with mp.workdps(30):
+        P, C = _frechet_tails(alpha, 1)
+        a = mp.mpf(alpha)
+        for S in (0.01, 1.0, 100.0, 1e4):
+            ra_ref = mp.quad(lambda x: mp.log1p(S * x ** (-1 / a)) * mp.exp(-x),
+                             [0, 1, 5, 20, 80, mp.inf])
+            oa = oa_capacity(dist, S)
+            z_ref = mp.exp(mp.findroot(
+                lambda u: mp.log(P(mp.exp(u))) - mp.log(S), mp.log(oa.threshold_z_t)
+            ))
+            for got, ref in ((ra_capacity(dist, S).capacity_nats, ra_ref),
+                             (oa.capacity_nats, C(z_ref))):
+                worst = max(worst, float(abs(got - ref) / ref))
+    assert worst <= 1e-14
 
 
 class TestGamma2ClosedForms:
