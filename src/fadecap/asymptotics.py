@@ -167,7 +167,8 @@ def low_snr_slope(dist: FadingDistribution, scheme: Scheme, z_t: float = None) -
     # CTCI: the infinite threshold reduces to RA
     if math.isinf(z_t):
         return dist.mean
-    numer = dist.head_mean(z_t) + z_t * (1.0 - outage_cdf)
+    # E[min(Z, z_t)], the integral of 1 - F over [0, z_t]
+    numer = dist.survival_table.sf_integral(z_t)
     denom = outage_cdf + z_t * dist.tail_inverse_integral(z_t)
     return numer / denom
 

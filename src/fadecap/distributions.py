@@ -40,9 +40,9 @@ Every factory supplies the survival function ``sf`` = 1 - F in a form
 that keeps its digits where F is near 1 (``_validate`` checks
 sf + cdf = 1 at the law's knots). ``survival_table``, a
 ``numerics.SurvivalTable`` built from ``sf`` and the density when the law
-is built, gives the OA constraint, the OA capacity and the RA capacity
-with no quadrature, and its nodes, with the density at them, give CTCI's
-region below its cutoff. It also builds the law: a factory passes None
+is built, gives the OA constraint, the OA capacity, the RA and CTCI
+capacities and CTCI's low-SNR slope from ``sf`` alone, with no
+quadrature and no density. It also builds the law: a factory passes None
 for a moment with no closed form, and ``_validate`` sums it on the
 table's nodes, and checks the law's mass and mean there, with no
 adaptive quadrature.
@@ -231,8 +231,10 @@ class FadingDistribution:
         arrays, and ``rel_tol`` is not used. On an unbounded support QUADPACK
         integrates adaptively to ``rel_tol``, with subdivision forced at the
         law's knots: the table stops where sf is spent, and on a heavy tail
-        a head mean to t past its top would lose up to t sf(top). No law's
-        construction calls ``expect``; T(t) without a closed form does.
+        an integral of z pdf to t past its top would lose up to t sf(top)
+        (E[min(Z, t)] from sf, ``SurvivalTable.sf_integral``, loses under
+        t ``SF_TABLE_CUT``). No law's construction calls ``expect``; T(t)
+        without a closed form does.
         """
         bounded = self.support_sup < math.inf
         upper = self.support_sup if hi is None else min(hi, self.support_sup)
@@ -267,10 +269,6 @@ class FadingDistribution:
         if self.tail_inverse is not None:
             return self.tail_inverse(t)
         return self.expect(lambda z: 1.0 / z, lo=t)
-
-    def head_mean(self, t: float) -> float:
-        """Integral of z * pdf(z) over [0, t]."""
-        return self.expect(lambda z: z, hi=t)
 
     def sample(self, rng: np.random.Generator, size: int = None):
         """Draw effective gains; a scalar when size is None."""
@@ -324,7 +322,7 @@ def _validate(dist: FadingDistribution, sf_past_top: Callable = None) -> FadingD
     (``SurvivalTable.expectation``) and set on the law, which is still being
     built. The mass is the density summed on the nodes, plus F below the
     table (``SurvivalTable.mass``). A finite mean is checked against the
-    integral of sf, an independent route: ``SurvivalTable.sf_integral``,
+    integral of sf, an independent route: ``SurvivalTable.sf_integral()``,
     plus ``sf_past_top(top)``, the integral of sf past the table's top in
     closed form, where a heavy tail leaves a part of the mean there.
     """
@@ -345,7 +343,7 @@ def _validate(dist: FadingDistribution, sf_past_top: Callable = None) -> FadingD
     if not abs(table.mass - 1.0) <= _MASS_TOL:
         raise ValueError(f"{dist.name}: density mass {table.mass} deviates from 1")
     if not math.isinf(dist.mean):
-        mean_sf = table.sf_integral
+        mean_sf = table.sf_integral()
         if sf_past_top is not None:
             mean_sf += sf_past_top(math.exp(table.u_edges[-1]))
         if not abs(mean_sf - dist.mean) <= _MEAN_CROSS_CHECK_RTOL * max(abs(dist.mean), 1.0):

@@ -11,10 +11,10 @@ gains, in place, into the (count, mean, sum of squared deviations) of
 its rate and of its power ratio: a constant array is summarised exactly,
 TCI's two-valued rate by its count of active samples, and every other
 array by one mean and one dot product of its deviations. The shards of
-one estimate run concurrently on a thread pool, one worker per CPU the
-process may use (numpy releases the GIL while it draws and reduces a
-shard), and their statistics are merged in shard order with the
-pairwise combine rule. Estimates are bit-stable for a given
+one estimate run concurrently on a thread pool built at import, one
+worker per CPU the process may use (numpy releases the GIL while it
+draws and reduces a shard), and their statistics are merged in shard
+order with the pairwise combine rule. Estimates are bit-stable for a given
 (seed, n_samples) and do not depend on how many workers there are or
 how shards are scheduled.
 
@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -50,18 +48,24 @@ def _usable_cpus() -> int:
 
 
 _WORKERS = _usable_cpus()
-_pool = None
-_pool_lock = threading.Lock()
 
 
-def _forget_pool():
+def _new_pool() -> ThreadPoolExecutor:
+    # threads start on the first submit, so an unused pool costs nothing
+    return ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="fadecap-mc")
+
+
+_pool = _new_pool()
+
+
+def _renew_pool():
     # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    global _pool
+    _pool = _new_pool()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_renew_pool)
 
 
 @dataclass(frozen=True)
@@ -112,35 +116,6 @@ def _shard_rng(seed: int, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, shard))))
 
 
-def _executor() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="fadecap-mc")
-        return _pool
-
-
-def _map_in_order(fn, n: int, workers: int):
-    """``fn(0), ..., fn(n - 1)`` in order, at most ``workers`` running at once."""
-    workers = min(workers, n)
-    if workers <= 1:
-        yield from map(fn, range(n))
-        return
-    pool = _executor()
-    pending = deque(pool.submit(fn, i) for i in range(workers))
-    try:
-        for i in range(workers, n + workers):
-            result = pending.popleft().result()
-            if i < n:
-                pending.append(pool.submit(fn, i))
-            yield result
-    finally:
-        # after an error, no shard of this call may run on once it returns
-        for future in pending:
-            future.cancel()
-        wait(pending)
-
-
 def mc_capacity(
     dist: FadingDistribution,
     scheme: Scheme,
@@ -188,9 +163,19 @@ def mc_capacity(
     rate_acc = _Welford()
     power_acc = _Welford()
     n_shards = (n_samples + SHARD_SIZE - 1) // SHARD_SIZE
-    for rate_stats, power_stats in _map_in_order(shard_stats, n_shards, _WORKERS):
-        rate_acc.merge(*rate_stats)
-        power_acc.merge(*power_stats)
+    # one worker or one shard runs in the caller
+    pooled = _WORKERS > 1 and n_shards > 1
+    futures = [_pool.submit(shard_stats, i) for i in range(n_shards)] if pooled else []
+    try:
+        for shard in range(n_shards):
+            rate_stats, power_stats = futures[shard].result() if pooled else shard_stats(shard)
+            rate_acc.merge(*rate_stats)
+            power_acc.merge(*power_stats)
+    finally:
+        # after an error, no shard of this call may run on once it returns
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
     return McEstimate(
         mean_nats=rate_acc.mean,

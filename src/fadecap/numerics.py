@@ -17,13 +17,14 @@ them: building a gain law and a sweep without ``tci:opt`` need neither.
 A ``SurvivalTable`` integrates a survival function sf = 1 - F once, on
 20-node Gauss-Legendre panels in u = log z, and keeps the sums of the
 panels from the top. Integration by parts writes the OA power constraint,
-the OA capacity and the RA capacity as integrals of sf alone, with
-positive integrands, so each is a table lookup plus one partial panel, or
-one dot product over the stored nodes. An integral of g times the density
-over a range (CTCI's region below its cutoff, every expectation on a
-bounded support and a law's moments) takes the same nodes, with the
-density evaluated at each query. The density at the nodes also gives the
-law's mass, and the nodes' sf its mean, which the law checks when built.
+the OA capacity, the RA capacity and the CTCI capacity as integrals of sf
+alone, with positive integrands: a table lookup plus one partial panel
+above a point, or a sum over the stored nodes below a cap plus one
+partial panel. An integral of g times the density over a range (every
+expectation on a bounded support and a law's moments) takes the same
+nodes, with the density evaluated at each query. The density at the
+nodes also gives the law's mass, and the nodes' sf its mean, which the
+law checks when built.
 """
 
 from __future__ import annotations
@@ -245,8 +246,7 @@ class SurvivalTable:
     Below the table's lower end ``lo`` F is under ``SF_TABLE_CUT``, so sf
     is taken as 1 there and P, C and RA have closed forms; above its top
     sf is taken as 0. ``mass`` is the density's integral over the nodes
-    plus F(lo), and ``sf_integral`` the integral of sf over [0, top], which
-    is E[Z] when no mass is left past the top.
+    plus F(lo).
     """
 
     def __init__(self, sf: Callable, cdf: Callable, pdf: Callable, knots: Sequence[float] = (),
@@ -271,8 +271,6 @@ class SurvivalTable:
         self._neg_P = -self.P_edges
         self._y, self._wy, self._w_sf = y.ravel(), (w * y).ravel(), w_sf.ravel()
         self.mass = float(np.sum(w_y_pdf)) + float(cdf(self.lo))
-        # sf is 1 below lo, to within F < SF_TABLE_CUT
-        self.sf_integral = self.lo + float(np.dot(self._w_sf, self._y))
 
     @staticmethod
     def _lower_end(cdf, knots) -> float:
@@ -319,10 +317,33 @@ class SurvivalTable:
         through p > 0, or -1 when p exceeds P at the lower end."""
         return int(np.searchsorted(self._neg_P, -p, side="right")) - 1
 
-    def log1p_expectation(self, s: float) -> float:
-        """E[log(1 + s Z)] = integral of s sf(y)/(1 + s y) dy, for s > 0."""
-        sy = s * self._y
-        return math.log1p(s * self.lo) + float(np.dot(self._w_sf, sy / (1.0 + sy)))
+    def _capped_sum(self, h: Callable, cap: float) -> float:
+        """Integral of sf(y) h(y) du over [lo, cap] in u = log y, for cap > lo:
+        the stored nodes of the panels below the one holding cap, plus that
+        panel's part below cap on its own 20 nodes. Past the top it adds
+        nothing. ``h`` takes arrays."""
+        u = math.log(cap)
+        k = bisect.bisect_right(self.u_edges, u) - 1
+        if k >= len(self.u_edges) - 1:
+            return float(np.dot(self._w_sf, h(self._y)))
+        m = k * _SF_NODES.size
+        y, w = _u_panel(self.u_edges[k], u)
+        return float(np.dot(self._w_sf[:m], h(self._y[:m])) + np.dot(w * self.sf(y), h(y)))
+
+    def sf_integral(self, cap: float = math.inf) -> float:
+        """E[min(Z, cap)] = integral of sf over [0, cap], for cap > 0; sf is
+        1 below lo and 0 past the top, so at cap = inf it is E[Z] when no
+        mass is left past the top."""
+        if cap <= self.lo:
+            return cap
+        return self.lo + self._capped_sum(lambda y: y, cap)
+
+    def log1p_expectation(self, s: float, cap: float = math.inf) -> float:
+        """E[log(1 + s min(Z, cap))] = integral of s sf(y)/(1 + s y) dy over
+        [0, cap], for s > 0 and cap > 0."""
+        if cap <= self.lo:
+            return math.log1p(s * cap)
+        return math.log1p(s * self.lo) + self._capped_sum(lambda y: s * y / (1.0 + s * y), cap)
 
     def expectation(self, g: Callable, pdf: Callable, bottom: float = 0.0,
                     top: float = math.inf) -> float:

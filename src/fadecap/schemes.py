@@ -17,12 +17,13 @@ Schemes:
 * CTCI -- inversion above a threshold, constant power below it; no
   outage, and it reduces to CI at threshold 0 and RA at threshold inf.
 
-OA and RA read the law's ``survival_table``: integrated by parts, the OA
-constraint E[(1/z_t - 1/z)+], the OA capacity E[log(z/z_t); z > z_t] and
-the RA capacity E[log(1 + S z)] need only the survival function 1 - F.
-OA's cutoff solve returns the capacity at its cutoff with it. TCI and CTCI
-use F and the tail functional T, and CTCI integrates its region below the
-cutoff on the survival table's nodes, with the density.
+OA, RA and CTCI read the law's ``survival_table``: integrated by parts,
+the OA constraint E[(1/z_t - 1/z)+], the OA capacity E[log(z/z_t); z > z_t],
+the RA capacity E[log(1 + S z)] and the CTCI capacity
+E[log(1 + a min(z, z_t))] need only the survival function 1 - F, so no
+capacity evaluates the density. OA's cutoff solve returns the capacity at
+its cutoff with it. TCI and CTCI take their power ratio from F and the
+tail functional T.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
-
-import numpy as np
 
 from .distributions import FadingDistribution
 from .numerics import Bracket, find_root_monotone, maximize_unimodal
@@ -288,16 +287,13 @@ def ctci_dmax(dist: FadingDistribution, z_t: float) -> float:
 
 
 def ctci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityResult:
-    """Continuous truncated inversion capacity.
+    """Continuous truncated inversion capacity E[log(1 + a min(z, z_t))].
 
-    Integrates the constant-power region below the cutoff and adds the
-    constant-rate contribution above it. Thresholds 0 and above the
-    support reproduce CI and RA exactly. The region below the cutoff,
-    E[log(1 + a z); z < z_t] with a = S D_max, is summed on the survival
-    table's 20-node panels in u = log z, with the density evaluated at
-    their nodes: log1p(a e^u) bends at u = -log a, many decades below z_t
-    at high SNR, but stays smooth on panels a quarter unit of u wide. The
-    table's one panel in z below its lower end adds the F < 1e-20 there.
+    With a = S D_max, the received SNR is a z below the cutoff and a z_t
+    above it. Integrated by parts, the capacity is the integral of
+    a (1 - F(y)) / (1 + a y) over [0, z_t]: RA's survival sum at power a,
+    capped at z_t. Thresholds 0 and above the support reproduce CI and RA
+    exactly.
     """
     _check_power(S)
     _check_ctci_threshold(z_t)
@@ -315,12 +311,9 @@ def ctci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityRes
             power_constraint_residual=residual,
             degenerate=ci.degenerate,
         )
-    outage_cdf = float(dist.cdf(z_t))
-    denom = outage_cdf + z_t * dist.tail_inverse_integral(z_t)
+    denom = float(dist.cdf(z_t)) + z_t * dist.tail_inverse_integral(z_t)
     d_max = 1.0 / denom
-    a = S * d_max
-    below = dist.survival_table.expectation(lambda y: np.log1p(a * y), dist.pdf, top=z_t)
-    cap = below + (1.0 - outage_cdf) * math.log1p(a * z_t)
+    cap = dist.survival_table.log1p_expectation(S * d_max, cap=z_t)
     residual = d_max * denom - 1.0
     return CapacityResult(
         Scheme.CTCI,

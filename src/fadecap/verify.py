@@ -36,6 +36,11 @@ def _chain_threshold(dist: FadingDistribution) -> float:
     return 1.0
 
 
+def _capacity_of_power(dist: FadingDistribution, scheme: Scheme, z_t: float):
+    """The scheme's capacity in nats as a function of S, at threshold z_t."""
+    return lambda S: schemes.capacity(dist, scheme, S, z_t=z_t).capacity_nats
+
+
 def check_ordering_chain(dist: FadingDistribution, snr_grid_db) -> list[CheckResult]:
     """CI <= CTCI(z_t) <= RA <= OA and RA <= AWGN at every grid SNR."""
     z_t = _chain_threshold(dist)
@@ -43,11 +48,10 @@ def check_ordering_chain(dist: FadingDistribution, snr_grid_db) -> list[CheckRes
     worst_at = None
     for db in snr_grid_db:
         S = 10.0 ** (db / 10.0)
-        ci = schemes.ci_capacity(dist, S).capacity_nats
-        ctci = schemes.ctci_capacity(dist, S, z_t).capacity_nats
-        ra = schemes.ra_capacity(dist, S).capacity_nats
-        oa = schemes.oa_capacity(dist, S).capacity_nats
-        awgn = schemes.awgn_capacity(dist, S).capacity_nats
+        ci, ctci, ra, oa, awgn = (
+            schemes.capacity(dist, scheme, S, z_t=z_t).capacity_nats
+            for scheme in (Scheme.CI, Scheme.CTCI, Scheme.RA, Scheme.OA, Scheme.AWGN)
+        )
         for slack in (ctci - ci, ra - ctci, oa - ra, awgn - ra):
             if slack < worst:
                 worst, worst_at = slack, db
@@ -77,23 +81,16 @@ def check_prelogs(dist: FadingDistribution, S_hi: float = 1e6) -> list[CheckResu
     results = []
     z_t = _chain_threshold(dist)
     cases = [
-        ("prelog_ra", lambda S: schemes.ra_capacity(dist, S).capacity_nats, 1.0),
-        (
-            "prelog_ci",
-            lambda S: schemes.ci_capacity(dist, S).capacity_nats,
-            1.0 if dist.inverse_mean_finite else 0.0,
-        ),
-        ("prelog_ctci", lambda S: schemes.ctci_capacity(dist, S, z_t).capacity_nats, 1.0),
-        (
-            "prelog_tci",
-            lambda S: schemes.tci_capacity(dist, S, z_t).capacity_nats,
-            asymptotics.prelog_analytic(float(dist.cdf(z_t))),
-        ),
+        (Scheme.RA, 1.0),
+        (Scheme.CI, 1.0 if dist.inverse_mean_finite else 0.0),
+        (Scheme.CTCI, 1.0),
+        (Scheme.TCI, asymptotics.prelog_analytic(float(dist.cdf(z_t)))),
     ]
-    for name, fn, expected in cases:
-        got = asymptotics.prelog_numeric(fn, S_hi)
+    for scheme, expected in cases:
+        got = asymptotics.prelog_numeric(_capacity_of_power(dist, scheme, z_t), S_hi)
         results.append(
-            CheckResult(name, abs(got - expected) <= PRELOG_TOL, f"{got:.4f} vs {expected:.4f}")
+            CheckResult(f"prelog_{scheme.value}", abs(got - expected) <= PRELOG_TOL,
+                        f"{got:.4f} vs {expected:.4f}")
         )
     return results
 
@@ -102,14 +99,8 @@ def check_slopes(dist: FadingDistribution, S_lo: float = 1e-6) -> list[CheckResu
     """Numeric low-SNR slopes against the analytic limits."""
     results = []
     z_t = _chain_threshold(dist)
-    cases = [
-        ("slope_awgn", Scheme.AWGN, lambda S: schemes.awgn_capacity(dist, S).capacity_nats),
-        ("slope_ra", Scheme.RA, lambda S: schemes.ra_capacity(dist, S).capacity_nats),
-        ("slope_ci", Scheme.CI, lambda S: schemes.ci_capacity(dist, S).capacity_nats),
-        ("slope_tci", Scheme.TCI, lambda S: schemes.tci_capacity(dist, S, z_t).capacity_nats),
-        ("slope_ctci", Scheme.CTCI, lambda S: schemes.ctci_capacity(dist, S, z_t).capacity_nats),
-    ]
-    for name, scheme, fn in cases:
+    for scheme in (Scheme.AWGN, Scheme.RA, Scheme.CI, Scheme.TCI, Scheme.CTCI):
+        name, fn = f"slope_{scheme.value}", _capacity_of_power(dist, scheme, z_t)
         analytic = asymptotics.low_snr_slope(dist, scheme, z_t)
         if not math.isfinite(analytic):
             continue

@@ -189,9 +189,10 @@ class TestCapacityCommand:
         )
 
 
-# Run in a fresh interpreter: builds one law of each kind and sweeps the six
-# default schemes on gamma:N=2 and a tabulated law, then prints the scipy
-# modules it holds that law construction and such a sweep do not need.
+# Run in a fresh interpreter: builds one law of each kind, sweeps the six
+# default schemes on gamma:N=2 and a tabulated law and runs `verify --level
+# fast` on both, then prints the scipy modules it holds that law
+# construction, such a sweep and the fast checks do not need.
 FRESH_SWEEP = """
 import contextlib, io, sys
 import fadecap.cli as cli
@@ -202,6 +203,7 @@ for spec in ("gamma:N=2", tab):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["sweep", "--dist", spec, "--schemes",
                          "awgn,oa,ra,ci,tci:zt=1,ctci:zt=1", "--snr-db=-60:90:5"]) == 0
+        assert cli.main(["verify", "--dist", spec, "--level", "fast"]) == 0
 print(",".join(m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg")
                if m in sys.modules))
 """
@@ -209,8 +211,8 @@ print(",".join(m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg")
 
 def test_builds_and_default_sweeps_import_no_quadrature_or_optimizer(tmp_path):
     # scipy.integrate and scipy.optimize (which pulls in scipy.linalg) are
-    # imported on first use: no law construction and no sweep without
-    # tci:opt needs them
+    # imported on first use: no law construction, no sweep without tci:opt
+    # and no fast check on a law with a closed-form T needs them
     tab3 = tmp_path / "tab3.csv"
     tab3.write_text("".join(f"{z!r},{p!r}\n" for z, p in workloads.tab_grid(3)),
                     encoding="utf-8")

@@ -8,6 +8,8 @@ import os
 import re
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -242,6 +244,31 @@ class TestConcurrentShards:
         law = dataclasses.replace(miso, sampler=failing)
         with pytest.raises(ValueError, match="bad shard"):
             mc_capacity(law, Scheme.RA, 10.0, n_samples=2 * SHARD_SIZE + 17, seed=1)
+
+    def test_a_failed_call_returns_after_its_running_shards_end(self, miso, monkeypatch):
+        # shard 0 raises as soon as shard 1 is running; shard 1 sleeps, then
+        # records that it ended, which must happen before the call returns
+        pool = ThreadPoolExecutor(max_workers=2)
+        monkeypatch.setattr(mc, "_pool", pool)
+        monkeypatch.setattr(mc, "_WORKERS", 2)
+        started, ended = threading.Event(), []
+
+        def sampler(rng, n):
+            if n == SHARD_SIZE:
+                assert started.wait(timeout=30)
+                raise ValueError("first shard")
+            started.set()
+            time.sleep(0.2)
+            ended.append(n)
+            return miso.sampler(rng, n)
+
+        law = dataclasses.replace(miso, sampler=sampler)
+        try:
+            with pytest.raises(ValueError, match="first shard"):
+                mc_capacity(law, Scheme.RA, 10.0, n_samples=SHARD_SIZE + 17, seed=1)
+            assert ended == [17]
+        finally:
+            pool.shutdown(wait=True)
 
 
 class TestAgainstQuadrature:

@@ -272,7 +272,7 @@ class TestSurvivalTable:
         table = SurvivalTable(*UNIFORM_1_2, knots=(1.0, 2.0), top=2.0)
         assert table.lo == 1.0 and math.exp(table.u_edges[-1]) == pytest.approx(2.0)
         assert table.mass == pytest.approx(1.0, rel=1e-15)
-        assert table.sf_integral == pytest.approx(1.5, rel=1e-15)
+        assert table.sf_integral() == pytest.approx(1.5, rel=1e-15)
         with mp.workdps(30):
             for z in (1e-9, 0.3, 1.0, 1.2, 1.7, 1.999, 2.0, 5.0):
                 x = mp.mpf(z)
@@ -294,7 +294,7 @@ class TestSurvivalTable:
         table = SurvivalTable(*EXPONENTIAL)
         assert table.lo < 1e-19 and table.u_edges[-1] > math.log(40.0)
         assert table.mass == pytest.approx(1.0, rel=1e-15)
-        assert table.sf_integral == pytest.approx(1.0, rel=1e-15)
+        assert table.sf_integral() == pytest.approx(1.0, rel=1e-15)
         for z in (*np.geomspace(1e-25, 30.0, 40), 60.0):
             P, C = table.tails(float(z))
             assert P == pytest.approx(math.exp(-z) / z - special.exp1(z), rel=1e-14), z
@@ -304,6 +304,31 @@ class TestSurvivalTable:
             with mp.workdps(30):
                 expected = float(mp.exp(1 / mp.mpf(s)) * mp.e1(1 / mp.mpf(s)))
             assert table.log1p_expectation(s) == pytest.approx(expected, rel=1e-14)
+
+    def test_capped_sums_from_below_the_lower_end_to_past_the_top(self):
+        # E[min(Z, t)] and E[log(1 + s min(Z, t))]: for Z exponential
+        # 1 - e^-t and e^(1/s) [E1(1/s) - E1(t + 1/s)], and for Z uniform on
+        # [1, 2], with y = t clipped to [1, 2], 1.5 - (2 - y)^2 / 2 and
+        # log(1 + s min(t, 1)) + (2 + 1/s) log((1 + s y)/(1 + s)) - (y - 1)
+        exponential = SurvivalTable(*EXPONENTIAL)
+        uniform = SurvivalTable(*UNIFORM_1_2, knots=(1.0, 2.0), top=2.0)
+        with mp.workdps(30):
+            for t in (1e-25, 1e-3, 0.5, 1.0, 1.5, 3.0, 60.0, math.inf):
+                x = mp.mpf(t)
+                assert exponential.sf_integral(t) == pytest.approx(
+                    float(-mp.expm1(-x)), rel=1e-14), t
+                y = min(max(x, 1), 2)
+                assert uniform.sf_integral(t) == pytest.approx(
+                    float(min(x, 1) - (2 - y) ** 2 / 2 + mp.mpf(1) / 2), rel=1e-14), t
+                for s in (1e-6, 1.0, 1e9):
+                    b = 1 / mp.mpf(s)
+                    expected = mp.exp(b) * (mp.e1(b) - mp.e1(x + b))
+                    assert exponential.log1p_expectation(s, cap=t) == pytest.approx(
+                        float(expected), rel=1e-14), (s, t)
+                    expected = (mp.log1p(min(x, 1) / b) + (2 + b) * mp.log((1 + y / b) / (1 + 1 / b))
+                                - (y - 1))
+                    assert uniform.log1p_expectation(s, cap=t) == pytest.approx(
+                        float(expected), rel=1e-14), (s, t)
 
     def test_expectation_on_a_bounded_support(self):
         # Z uniform on [1, 2]: the integral of y pdf(y) over [1, t] is
@@ -377,7 +402,7 @@ class TestSurvivalTable:
         assert len(table.u_edges) - 1 == panels
         assert table.mass == pytest.approx(1.0, rel=2e-15)
         # E[Z] = Gamma(1 - 1/alpha), less the 1e-18 the table leaves past its top
-        assert table.sf_integral == pytest.approx(math.gamma(1.0 - 1.0 / alpha), rel=1e-14)
+        assert table.sf_integral() == pytest.approx(math.gamma(1.0 - 1.0 / alpha), rel=1e-14)
 
     def test_power_panel_brackets_the_level(self):
         table = SurvivalTable(*EXPONENTIAL)

@@ -1,5 +1,6 @@
 """Scheme capacities, implicit thresholds and their shared invariants."""
 
+import dataclasses
 import functools
 import math
 
@@ -351,9 +352,10 @@ class TestGamma2ClosedForms:
 
     # worst relative error measured from -60 to +90 dB in 5 dB steps at
     # z_t = 0.7, all four on the survival table or in closed form: RA
-    # 2.2e-16 (7.1e-12 by QUADPACK), CTCI 1.8e-16 (1.4e-15 by QUADPACK),
-    # TCI 2.0e-16, CI 1.1e-16; each gate is at most 3x that, with a 1e-15
-    # floor for CI and TCI
+    # 2.2e-16 (7.1e-12 by QUADPACK), CTCI 1.8e-16 with the density on the
+    # table's nodes (1.4e-15 by QUADPACK), TCI 2.0e-16, CI 1.1e-16; each
+    # gate is at most 3x that, with a 1e-15 floor for CI and TCI. CTCI as
+    # RA's survival sum capped at z_t measures 4.2e-16.
     GATES = {"ra": 6.5e-16, "ci": 1e-15, "tci": 1e-15, "ctci": 5.5e-16}
 
     @pytest.mark.parametrize("scheme", sorted(GATES))
@@ -377,8 +379,11 @@ class TestCtciAgainstOracles:
     Rayleigh has CTCI = e^(1/a) [E1(1/a) - E1(z_t + 1/a)] with a = S D_max
     and D_max = 1/(1 - e^-z_t + z_t E1(z_t)); at z_t = e^-gamma it raised
     ``QuadratureError`` at 75-80 dB while QUADPACK integrated the region
-    below the cutoff. Worst relative errors measured on the survival
-    table's nodes are listed with each case; each gate is 3x that.
+    below the cutoff. Worst relative errors measured with the density on
+    the survival table's nodes are listed with each case; each gate is 3x
+    that. As RA's survival sum capped at z_t, CTCI measures 4.3e-16,
+    7.5e-16 and 5.9e-16 on miso22, and 5.0e-16, 1.2e-15 and 1.2e-15 on
+    tab1, at z_t = 0.3, 1 and 3.
     """
 
     MEASURED = {
@@ -405,7 +410,8 @@ class TestCtciAgainstOracles:
         assert worst <= 3.0 * self.MEASURED[law, z_t]
 
     def test_rayleigh_matches_closed_form_at_exp_minus_gamma(self):
-        # worst measured 4.3e-16 (7.9e-16 by QUADPACK)
+        # worst measured 6.2e-16 as a capped survival sum (4.3e-16 with the
+        # density on the table's nodes, 7.9e-16 by QUADPACK)
         rayleigh = make_gamma_diversity(1)
         z_t = math.exp(-0.5772156649015329)
         worst = 0.0
@@ -436,6 +442,42 @@ def test_ctci_cost_pin_integrals(monkeypatch, law, integrators):
         calls.clear()
         ctci_capacity(law, S, 1.0)
         assert len(calls) == integrators, (S, calls)
+
+
+@pytest.mark.parametrize("law", [lambda: _gamma_law(2), lambda: _tabulated_law(2.0)],
+                         ids=["gamma2", "tabulated"])
+def test_ctci_reads_no_density_once_the_law_is_built(law):
+    # CTCI is RA's survival sum capped at z_t, with D_max from F and a
+    # closed-form T: every density evaluation happens while the law, or a
+    # scaled law's table, is built
+    calls = []
+
+    def counted(pdf):
+        return lambda z: calls.append(z) or pdf(z)
+
+    base = law()
+    base = dataclasses.replace(base, pdf=counted(base.pdf))
+    scaled = base.scaled(2.5)
+    for dist in (base, scaled):
+        _ = dist.survival_table  # built here, as the law is
+        calls.clear()
+        for S in (1e-6, 10.0, 1e9):
+            for z_t in (0.3, 1.0, 4.0, 50.0):
+                ctci_capacity(dist, S, z_t)
+        assert not calls, dist.name
+
+
+@pytest.mark.parametrize("law", [
+    lambda: _tabulated_law(2.0), lambda: _workload_tab_law(1), lambda: spike_at(2.0),
+    lambda: _tabulated_law(2.0).scaled(3.0),
+], ids=["tabulated", "tab1", "spike", "scaled_tabulated"])
+def test_ctci_at_or_above_the_support_top_is_ra_bit_for_bit(law):
+    # D_max = 1 there, and the capped sum takes every node of the table
+    law = law()
+    for S in 10.0 ** np.arange(-6.0, 9.1, 1.5):
+        ra = ra_capacity(law, S).capacity_nats
+        for z_t in (law.support_sup, 2.0 * law.support_sup):
+            assert ctci_capacity(law, S, z_t).capacity_nats == ra, (S, z_t)
 
 
 @pytest.mark.parametrize("law", [
@@ -818,9 +860,9 @@ class TestCrossSchemeInvariants:
             return [
                 cutoff,
                 dist.tail_inverse_integral(cutoff),
-                dist.head_mean(cutoff),
+                dist.expect(lambda z: z, hi=cutoff),
                 dist.tail_inverse_integral(c),
-                dist.head_mean(c),
+                dist.expect(lambda z: z, hi=c),
                 oa_capacity(dist, S).capacity_nats,
                 ra_capacity(dist, S).capacity_nats,
                 ci_capacity(dist, S).capacity_nats,
