@@ -45,14 +45,12 @@ from .schemes import (
 )
 from .asymptotics import (
     GapReport,
-    SlopeReport,
     gap_awgn_ci,
     gap_awgn_oa,
     gap_oa_ci,
     gap_report,
     low_snr_slope,
     low_snr_slope_numeric,
-    low_snr_slopes,
     multiuser_gap_asymptotic,
     prelog_analytic,
     prelog_numeric,
@@ -93,14 +91,12 @@ __all__ = [
     "tci_dmax",
     "tci_optimize",
     "GapReport",
-    "SlopeReport",
     "gap_awgn_ci",
     "gap_awgn_oa",
     "gap_oa_ci",
     "gap_report",
     "low_snr_slope",
     "low_snr_slope_numeric",
-    "low_snr_slopes",
     "multiuser_gap_asymptotic",
     "prelog_analytic",
     "prelog_numeric",

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 from scipy import special
 
-from .distributions import FadingDistribution
+from .distributions import FadingDistribution, _check_positive_int
 from .numerics import EULER_MASCHERONI
-from .schemes import Scheme, _tci_tail
+from .schemes import Scheme, ctci_dmax, tci_dmax
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,6 @@ class GapReport:
     gap_awgn_oa: float
     gap_oa_ci: float
     gap_awgn_ci: float
-
-
-@dataclass(frozen=True)
-class SlopeReport:
-    scheme: Scheme
-    slope: float
-    threshold_z_t: Optional[float] = None
 
 
 def gap_awgn_oa(dist: FadingDistribution) -> float:
@@ -100,9 +93,7 @@ def space_diversity_gaps(N) -> SpaceDiversityGaps:
     The OA-CI gap is asymptotically half the AWGN-CI gap, and both decay
     inversely with the antenna count: inversion becomes near-optimal.
     """
-    if N != int(N) or int(N) < 2:
-        raise ValueError(f"need an integer N >= 2 (inversion degenerates below), got {N}")
-    N = int(N)
+    N = _check_positive_int(N, "N", minimum=2)
     return SpaceDiversityGaps(
         gap_oa_ci=float(special.digamma(N)) - math.log(N - 1),
         gap_awgn_ci=math.log1p(1.0 / (N - 1)),
@@ -122,9 +113,8 @@ def multiuser_gap_asymptotic(K) -> float:
     K = 1024). Both decay only logarithmically in K: users close the
     inversion gap far more slowly than antennas.
     """
-    if K != int(K) or int(K) < 2:
-        raise ValueError(f"need an integer K >= 2, got {K}")
-    return math.log1p(EULER_MASCHERONI / math.log(int(K)))
+    K = _check_positive_int(K, "K", minimum=2)
+    return math.log1p(EULER_MASCHERONI / math.log(K))
 
 
 def prelog_numeric(capacity_fn: Callable[[float], float], S_hi: float,
@@ -148,7 +138,10 @@ def low_snr_slope(dist: FadingDistribution, scheme: Scheme, z_t: float = None) -
 
     OA's slope is the top of the support (infinite for the usual
     unbounded gains). TCI and CTCI take their fixed threshold and reduce
-    to CI at threshold 0; TCI raises ValueError where ``tci_dmax`` does.
+    to CI at threshold 0, and CTCI to RA at an infinite one. TCI's slope is
+    (1 - F(z_t)) z_t D_max and CTCI's E[min(Z, z_t)] D_max, with the D_max
+    of ``tci_dmax`` and ``ctci_dmax``: each raises ValueError where its
+    D_max does.
     """
     scheme = Scheme(scheme)
     if scheme in (Scheme.AWGN, Scheme.RA):
@@ -161,40 +154,14 @@ def low_snr_slope(dist: FadingDistribution, scheme: Scheme, z_t: float = None) -
         raise ValueError(f"{scheme.value} slope needs a threshold")
     if z_t == 0.0:
         return low_snr_slope(dist, Scheme.CI)
-    outage_cdf = float(dist.cdf(z_t))
     if scheme is Scheme.TCI:
-        return (1.0 - outage_cdf) / _tci_tail(dist, z_t)
-    # CTCI: the infinite threshold reduces to RA
-    if math.isinf(z_t):
+        d_max = tci_dmax(dist, z_t)
+        return (1.0 - float(dist.cdf(z_t))) * z_t * d_max
+    if z_t == math.inf:
         return dist.mean
+    d_max = ctci_dmax(dist, z_t)
     # E[min(Z, z_t)], the integral of 1 - F over [0, z_t]
-    numer = dist.survival_table.sf_integral(z_t)
-    denom = outage_cdf + z_t * dist.tail_inverse_integral(z_t)
-    return numer / denom
-
-
-def low_snr_slopes(
-    dist: FadingDistribution,
-    tci_thresholds: Sequence[float] = (),
-    ctci_thresholds: Sequence[float] = (),
-) -> list[SlopeReport]:
-    """Slope reports for every scheme, with per-threshold entries for the
-    truncated schemes."""
-    reports = [
-        SlopeReport(Scheme.AWGN, low_snr_slope(dist, Scheme.AWGN)),
-        SlopeReport(Scheme.OA, low_snr_slope(dist, Scheme.OA)),
-        SlopeReport(Scheme.RA, low_snr_slope(dist, Scheme.RA)),
-        SlopeReport(Scheme.CI, low_snr_slope(dist, Scheme.CI)),
-    ]
-    for z_t in tci_thresholds:
-        reports.append(
-            SlopeReport(Scheme.TCI, low_snr_slope(dist, Scheme.TCI, z_t), threshold_z_t=z_t)
-        )
-    for z_t in ctci_thresholds:
-        reports.append(
-            SlopeReport(Scheme.CTCI, low_snr_slope(dist, Scheme.CTCI, z_t), threshold_z_t=z_t)
-        )
-    return reports
+    return dist.survival_table.sf_integral(z_t) * d_max
 
 
 def low_snr_slope_numeric(capacity_fn: Callable[[float], float], S_lo: float) -> float:

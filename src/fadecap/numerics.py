@@ -2,17 +2,18 @@
 
 Adaptive quadrature on finite and semi-infinite intervals, survival-function
 tables for the integrals of a gain law, bracketed monotone root finding
-(Brent's method, or safeguarded Newton when the derivative is supplied)
-and unimodal 1-D maximization.
+by safeguarded Newton (the caller supplies the derivative) and unimodal
+1-D maximization on a positive, log-spaced bracket.
 
 The semi-infinite case maps [a, inf) onto [0, 1) with z = a + t/(1-t),
 so exponential, power-law and extreme-value tails are all handled by the
-same adaptive rule. Adaptive quadrature, derivative-free root finding
-and maximization are delegated to scipy (QUADPACK, Brent's root finder
-and bounded Brent minimization) behind the interfaces below; the survival
-tables and the Newton iteration are implemented here. scipy.integrate and
-scipy.optimize are imported on first use, inside the functions that call
-them: building a gain law and a sweep without ``tci:opt`` need neither.
+same adaptive rule. Adaptive quadrature and maximization are delegated to
+scipy (QUADPACK and bounded Brent minimization) behind the interfaces
+below; the survival tables and the Newton iteration are implemented here,
+so root finding uses no scipy and has no derivative-free path.
+scipy.integrate is imported inside ``integrate_finite`` and scipy.optimize,
+which serves only ``maximize_unimodal``, inside that function: building a
+gain law and a sweep without ``tci:opt`` need neither.
 
 A ``SurvivalTable`` integrates a survival function sf = 1 - F once, on
 20-node Gauss-Legendre panels in u = log z, and keeps the sums of the
@@ -62,6 +63,9 @@ SF_TABLE_CUT = 1e-20
 # where z and 1/z stay normal floats.
 _END_STEP = 0.5
 _U_LIMIT = 700.0
+
+# Log-spaced points of maximize_unimodal's pre-scan.
+_MAXIMIZE_GRID = 64
 
 
 @dataclass(frozen=True)
@@ -396,43 +400,31 @@ def find_root_monotone(
     g: Callable[[float], float],
     bracket: Bracket,
     tol: float = 1e-12,
-    dg: Callable[[float], float] = None,
+    *,
+    dg: Callable[[float], float],
 ) -> float:
-    """Root of a monotone g with a sign change on the bracket.
+    """Root of a monotone g with a sign change on the bracket, by
+    safeguarded Newton with the derivative ``dg``.
 
-    Without ``dg``, Brent's method with bisection safeguard: convergence
-    is guaranteed, and the final bracket width is at most ``tol`` (plus a
-    few ulps of the root itself).
-
-    With the derivative ``dg``, safeguarded Newton started at
-    ``bracket.lo``: a Newton step is taken when it lands strictly inside
-    the current sign-change bracket, and the bracket is bisected
-    otherwise: also where g is not finite, or ``dg`` is zero, infinite,
-    NaN or of the wrong sign for g's direction. It returns a point at
-    which g was evaluated, once its Newton step or the bracket is at
-    most ``tol`` (plus a few ulps) wide.
+    Started at ``bracket.lo``, a Newton step is taken when it lands
+    strictly inside the current sign-change bracket, and the bracket is
+    bisected otherwise: also where g is not finite, or ``dg`` is zero,
+    infinite, NaN or of the wrong sign for g's direction. It returns a
+    point at which g was evaluated, once its Newton step or the bracket is
+    at most ``tol`` (plus a few ulps) wide. BracketError when g has no
+    sign change on the bracket.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    g_lo = g(bracket.lo)
-    g_hi = g(bracket.hi)
+    lo, hi = bracket.lo, bracket.hi
+    g_lo = g(lo)
+    g_hi = g(hi)
     if g_lo == 0.0:
-        return bracket.lo
+        return lo
     if g_hi == 0.0:
-        return bracket.hi
+        return hi
     if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
-        raise BracketError(
-            f"no sign change on [{bracket.lo}, {bracket.hi}]: g(lo)={g_lo}, g(hi)={g_hi}"
-        )
-    if dg is None:
-        from scipy import optimize
-
-        root = optimize.brentq(g, bracket.lo, bracket.hi, xtol=tol, maxiter=200)
-        return float(root)
-    return _safeguarded_newton(g, dg, bracket.lo, g_lo, bracket.hi, tol)
-
-
-def _safeguarded_newton(g, dg, lo: float, g_lo: float, hi: float, tol: float) -> float:
+        raise BracketError(f"no sign change on [{lo}, {hi}]: g(lo)={g_lo}, g(hi)={g_hi}")
     # g(lo) and g(hi) have opposite signs, so g's monotone direction is known
     sign = 1.0 if g_lo < 0.0 else -1.0
     x, gx = lo, g_lo
@@ -463,45 +455,39 @@ def maximize_unimodal(
     h: Callable[[float], float],
     bracket: Bracket,
     tol: float = 1e-8,
-    grid_points: int = 64,
 ) -> tuple[float, float]:
-    """Maximize a (nominally unimodal) h on the bracket.
+    """Maximize a (nominally unimodal) h on a positive bracket.
 
-    A grid pre-scan guards against mild non-unimodality before scipy's
-    bounded Brent refinement inside the best grid cell. The grid and the
-    refinement work in log coordinates when the bracket is positive and
-    spans more than a decade, so wide threshold searches get uniform
-    relative resolution; ``tol`` is then a width in log space. On
-    plateaus the grid keeps the smallest argument, and the refined point
-    replaces it only when its value is strictly larger.
+    A pre-scan of ``_MAXIMIZE_GRID`` log-spaced points guards against mild
+    non-unimodality before scipy's bounded Brent refinement, in u = log x,
+    inside the best grid cell; ``tol`` is a width in u, so wide threshold
+    searches get uniform relative resolution. On plateaus the grid keeps
+    the smallest argument, and the refined point replaces it only when its
+    value is strictly larger. ValueError unless ``bracket.lo > 0``.
 
     Returns ``(argmax, max)`` with ``max`` at least the value of h at
     both bracket ends.
     """
     lo, hi = bracket.lo, bracket.hi
-    use_log = lo > 0.0 and hi / lo >= 10.0
-    if use_log:
-        grid = np.geomspace(lo, hi, grid_points)
-        to_u, from_u = math.log, math.exp
-    else:
-        grid = np.linspace(lo, hi, grid_points)
-        to_u, from_u = float, float
+    if not lo > 0.0:
+        raise ValueError(f"the bracket must be positive, got [{lo}, {hi}]")
+    grid = np.geomspace(lo, hi, _MAXIMIZE_GRID)
     values = [h(float(x)) for x in grid]
     best = int(np.argmax(values))
     best_x, best_val = float(grid[best]), float(values[best])
 
     left = float(grid[max(best - 1, 0)])
-    right = float(grid[min(best + 1, grid_points - 1)])
+    right = float(grid[min(best + 1, _MAXIMIZE_GRID - 1)])
     if left == right:
         return best_x, best_val
     from scipy import optimize
 
     refined = optimize.minimize_scalar(
-        lambda u: -h(from_u(u)),
-        bounds=(to_u(left), to_u(right)),
+        lambda u: -h(math.exp(u)),
+        bounds=(math.log(left), math.log(right)),
         method="bounded",
         options={"xatol": tol},
     )
     if -refined.fun > best_val:
-        best_x, best_val = from_u(refined.x), -refined.fun
+        best_x, best_val = math.exp(refined.x), -refined.fun
     return float(best_x), float(best_val)

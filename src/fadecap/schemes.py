@@ -23,13 +23,13 @@ the RA capacity E[log(1 + S z)] and the CTCI capacity
 E[log(1 + a min(z, z_t))] need only the survival function 1 - F, so no
 capacity evaluates the density. OA's cutoff solve returns the capacity at
 its cutoff with it. TCI and CTCI take their power ratio from F and the
-tail functional T.
+tail functional T; CTCI's, F(z_t) + z_t T(z_t), is ``_ctci_power``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -223,34 +223,35 @@ def tci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityResu
 
 def _default_threshold_bracket(dist: FadingDistribution) -> Bracket:
     """Search range covering thresholds from the near-inversion regime up
-    to where virtually no channel mass survives the cut."""
+    to where virtually no channel mass survives the cut: from 1e-9 E[z]
+    (1e-9 when the mean diverges) to just below a finite support top, or
+    to the first doubling of E[z] (or 1) at which sf is at most 1e-9. It
+    spans at least 9 decades."""
     ref = dist.mean if dist.mean_finite else 1.0
     lo = 1e-9 * ref
     if math.isfinite(dist.support_sup):
         hi = dist.support_sup * (1.0 - 1e-9)
     else:
         hi = ref
-        while 1.0 - float(dist.cdf(hi)) > 1e-9:
+        while float(dist.sf(hi)) > 1e-9:
             hi *= 2.0
             if hi > 1e100:
                 break
     return Bracket(lo, hi)
 
 
-def tci_optimize(
-    dist: FadingDistribution, S: float, bracket: Bracket = None
-) -> tuple[ThresholdSolution, CapacityResult]:
+def tci_optimize(dist: FadingDistribution, S: float) -> tuple[ThresholdSolution, CapacityResult]:
     """Best fixed threshold for truncated inversion at power S.
 
-    A log-spaced grid scan followed by bounded Brent refinement inside
-    the best grid cell. The grid keeps the smallest threshold on ties,
-    and the refined threshold replaces it only when its capacity is
-    strictly larger. The capacity surface is not guaranteed unimodal,
-    which is exactly what the grid pre-scan guards against.
+    ``maximize_unimodal`` over ``_default_threshold_bracket``: a log-spaced
+    grid scan followed by bounded Brent refinement in log z_t inside the
+    best grid cell. The grid keeps the smallest threshold on ties, and the
+    refined threshold replaces it only when its capacity is strictly
+    larger. The capacity surface is not guaranteed unimodal, which is
+    exactly what the grid pre-scan guards against.
     """
     _check_power(S)
-    if bracket is None:
-        bracket = _default_threshold_bracket(dist)
+    bracket = _default_threshold_bracket(dist)
     evals = [0]
 
     def objective(z_t: float) -> float:
@@ -268,22 +269,27 @@ def tci_optimize(
     return solution, result
 
 
-def _check_ctci_threshold(z_t: float):
+def _ctci_power(dist: FadingDistribution, z_t: float) -> float:
+    """F(z_t) + z_t T(z_t), the average power of continuous truncated
+    inversion at unit power ratio, so 1/D_max; 0 at z_t = 0. ValueError
+    unless z_t is finite and nonnegative."""
     if not 0.0 <= z_t < math.inf:
         raise ValueError(f"threshold must be finite and nonnegative, got {z_t}")
+    if z_t == 0.0:
+        return 0.0
+    return float(dist.cdf(z_t)) + z_t * dist.tail_inverse_integral(z_t)
 
 
 def ctci_dmax(dist: FadingDistribution, z_t: float) -> float:
-    """Power ratio of continuous truncated inversion at cutoff z_t.
+    """Power ratio of continuous truncated inversion at cutoff z_t:
+    1 / (F(z_t) + z_t T(z_t)).
 
     Lies in [1, inf); the threshold-0 limit is degenerate (infinite
     ratio applied to a vanishing gain, recovering plain inversion) and
     the infinite-threshold limit is 1 (constant power).
     """
-    _check_ctci_threshold(z_t)
-    if z_t == 0.0:
-        return math.inf
-    return 1.0 / (float(dist.cdf(z_t)) + z_t * dist.tail_inverse_integral(z_t))
+    power = _ctci_power(dist, z_t)
+    return 1.0 / power if z_t > 0.0 else math.inf
 
 
 def ctci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityResult:
@@ -293,28 +299,19 @@ def ctci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityRes
     above it. Integrated by parts, the capacity is the integral of
     a (1 - F(y)) / (1 + a y) over [0, z_t]: RA's survival sum at power a,
     capped at z_t. Thresholds 0 and above the support reproduce CI and RA
-    exactly.
+    exactly: at 0 the result is CI's, relabelled, with an infinite D_max.
     """
     _check_power(S)
-    _check_ctci_threshold(z_t)
+    power = _ctci_power(dist, z_t)
     if z_t == 0.0:
-        ci = ci_capacity(dist, S)
         residual = None
         if dist.inverse_mean_finite:
             residual = dist.tail_inverse_integral(0.0) / dist.inverse_mean - 1.0
-        return CapacityResult(
-            Scheme.CTCI,
-            S,
-            ci.capacity_nats,
-            threshold_z_t=0.0,
-            d_max=math.inf,
-            power_constraint_residual=residual,
-            degenerate=ci.degenerate,
-        )
-    denom = float(dist.cdf(z_t)) + z_t * dist.tail_inverse_integral(z_t)
-    d_max = 1.0 / denom
+        return replace(ci_capacity(dist, S), scheme=Scheme.CTCI, threshold_z_t=0.0,
+                       d_max=math.inf, power_constraint_residual=residual)
+    d_max = 1.0 / power
     cap = dist.survival_table.log1p_expectation(S * d_max, cap=z_t)
-    residual = d_max * denom - 1.0
+    residual = d_max * power - 1.0
     return CapacityResult(
         Scheme.CTCI,
         S,

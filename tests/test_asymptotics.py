@@ -14,7 +14,6 @@ from fadecap.asymptotics import (
     gap_report,
     low_snr_slope,
     low_snr_slope_numeric,
-    low_snr_slopes,
     multiuser_gap_asymptotic,
     prelog_analytic,
     prelog_numeric,
@@ -205,6 +204,17 @@ class TestMultiuserAsymptotic:
         assert devs[-1] > 1.0
 
 
+@pytest.mark.parametrize("gap_fn", [space_diversity_gaps, multiuser_gap_asymptotic])
+class TestGapHelperCounts:
+    @pytest.mark.parametrize("count", [math.inf, math.nan, None, True, 2.5])
+    def test_rejects_a_count_that_is_not_an_integer(self, gap_fn, count):
+        with pytest.raises(ValueError, match="must be an integer >= 2"):
+            gap_fn(count)
+
+    def test_accepts_an_integral_float(self, gap_fn):
+        assert gap_fn(2.0) == gap_fn(2)
+
+
 class TestPrelog:
     def test_analytic_bounds(self):
         assert prelog_analytic(0.0) == 1.0
@@ -273,10 +283,15 @@ class TestLowSnrSlopes:
         assert low_snr_slope(gamma2, Scheme.TCI, 0.0) == pytest.approx(ci, abs=1e-12)
 
     def test_report_listing(self, gamma2):
-        reports = low_snr_slopes(gamma2, tci_thresholds=(1.0,), ctci_thresholds=(1.0,))
-        by_scheme = {(r.scheme, r.threshold_z_t): r.slope for r in reports}
-        assert by_scheme[(Scheme.AWGN, None)] == 2.0
-        assert by_scheme[(Scheme.TCI, 1.0)] == pytest.approx(2.0, rel=1e-10)
+        assert low_snr_slope(gamma2, Scheme.AWGN) == 2.0
+        assert low_snr_slope(gamma2, Scheme.TCI, 1.0) == pytest.approx(2.0, rel=1e-10)
+
+    @pytest.mark.parametrize("z_t", [-1.0, math.nan])
+    def test_ctci_slope_at_an_invalid_threshold_raises_like_capacity(self, gamma2, z_t):
+        with pytest.raises(ValueError) as expected:
+            ctci_capacity(gamma2, 1.0, z_t)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            low_snr_slope(gamma2, Scheme.CTCI, z_t)
 
     def test_numeric_awgn(self, gamma2):
         got = low_snr_slope_numeric(

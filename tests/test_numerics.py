@@ -102,12 +102,17 @@ class TestFiniteQuadrature:
 
 class TestRootFinding:
     def test_linear(self):
-        root = find_root_monotone(lambda x: x - 2.0, Bracket(0.0, 5.0), tol=1e-12)
+        root = find_root_monotone(lambda x: x - 2.0, Bracket(0.0, 5.0), tol=1e-12,
+                                  dg=lambda x: 1.0)
         assert root == pytest.approx(2.0, abs=1e-10)
 
     def test_log(self):
-        root = find_root_monotone(math.log, Bracket(0.1, 10.0))
+        root = find_root_monotone(math.log, Bracket(0.1, 10.0), dg=lambda x: 1.0 / x)
         assert root == pytest.approx(1.0, abs=1e-10)
+
+    def test_derivative_is_required(self):
+        with pytest.raises(TypeError):
+            find_root_monotone(lambda x: x - 2.0, Bracket(0.0, 5.0))
 
     def test_water_filling_constraint_residual(self):
         # cutoff for the two-branch diversity gain at unit power; the
@@ -118,7 +123,9 @@ class TestRootFinding:
             ).value
             return integral - 1.0
 
-        z_t = find_root_monotone(constraint, Bracket(1e-6, 1.0), tol=1e-14)
+        # the constraint is e^-z / z, whose slope is -(1 + z) e^-z / z^2
+        z_t = find_root_monotone(constraint, Bracket(1e-6, 1.0), tol=1e-14,
+                                 dg=lambda z: -(1.0 + z) * math.exp(-z) / (z * z))
         assert abs(constraint(z_t)) < 1e-9
         # closed form: z_t e^{z_t} = 1, the omega constant
         assert z_t == pytest.approx(0.5671432904097838, abs=1e-9)
@@ -129,12 +136,13 @@ class TestRootFinding:
             (lambda x: math.expm1(x - 1.0), lambda x: math.exp(x - 1.0), Bracket(0.0, 3.0)),
         ]:
             tol = 1e-10
-            root = find_root_monotone(fn, bracket, tol=tol)
+            root = find_root_monotone(fn, bracket, tol=tol, dg=dfn)
             assert abs(fn(root)) <= 10.0 * abs(dfn(root)) * tol
 
     def test_no_sign_change(self):
+        # monotone and positive on the whole bracket
         with pytest.raises(BracketError):
-            find_root_monotone(lambda x: x * x + 1.0, Bracket(-1.0, 1.0))
+            find_root_monotone(math.exp, Bracket(-1.0, 1.0), dg=math.exp)
 
     def test_invalid_bracket(self):
         with pytest.raises(ValueError):
@@ -167,6 +175,8 @@ class TestNewtonRootFinding:
 
     @pytest.mark.parametrize("g, dg, bracket, root", NEWTON_CASES)
     def test_fewer_evaluations_than_brent(self, g, dg, bracket, root):
+        from scipy.optimize import brentq
+
         def counting(fn, points):
             def wrapped(x):
                 points.append(x)
@@ -175,7 +185,7 @@ class TestNewtonRootFinding:
 
         newton, brent = [], []
         find_root_monotone(counting(g, newton), bracket, tol=1e-12, dg=dg)
-        find_root_monotone(counting(g, brent), bracket, tol=1e-12)
+        brentq(counting(g, brent), bracket.lo, bracket.hi, xtol=1e-12, maxiter=200)
         assert len(newton) <= len(brent)
 
     def test_bisects_when_newton_leaves_the_bracket(self):
@@ -227,12 +237,12 @@ class TestNewtonRootFinding:
 
 class TestMaximizeUnimodal:
     def test_parabola(self):
-        x, v = maximize_unimodal(lambda x: -((x - 3.0) ** 2), Bracket(0.0, 10.0), tol=1e-10)
+        x, v = maximize_unimodal(lambda x: -((x - 3.0) ** 2), Bracket(0.1, 10.0), tol=1e-10)
         assert x == pytest.approx(3.0, abs=1e-6)
         assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_x_exp_minus_x(self):
-        x, _ = maximize_unimodal(lambda x: x * math.exp(-x), Bracket(0.0, 10.0), tol=1e-10)
+        x, _ = maximize_unimodal(lambda x: x * math.exp(-x), Bracket(1e-3, 10.0), tol=1e-10)
         assert x == pytest.approx(1.0, abs=1e-6)
 
     def test_value_dominates_bracket_ends(self):
@@ -245,13 +255,18 @@ class TestMaximizeUnimodal:
         x, _ = maximize_unimodal(h, Bracket(1e-6, 1e2), tol=1e-10)
         assert x == pytest.approx(0.01, rel=1e-4)
 
-    @pytest.mark.parametrize("lo, spacing", [(0.0, np.linspace), (1e-3, np.geomspace)])
-    def test_plateau_keeps_first_grid_point_on_it(self, lo, spacing):
+    @pytest.mark.parametrize("lo", [1e-3, 0.25])
+    def test_plateau_keeps_first_grid_point_on_it(self, lo):
         # min(x, 1) is flat from x = 1: no refined point is strictly
         # better, so the first grid point on the plateau is returned
-        grid = spacing(lo, 3.0, 64)
+        grid = np.geomspace(lo, 3.0, 64)
         x, v = maximize_unimodal(lambda x: min(x, 1.0), Bracket(lo, 3.0))
         assert (x, v) == (float(grid[grid >= 1.0][0]), 1.0)
+
+    @pytest.mark.parametrize("lo", [0.0, -1.0])
+    def test_rejects_a_bracket_that_is_not_positive(self, lo):
+        with pytest.raises(ValueError, match="positive"):
+            maximize_unimodal(lambda x: -abs(x), Bracket(lo, 3.0))
 
 
 # (sf, cdf, pdf) of Z uniform on [1, 2] and of the exponential law
