@@ -139,7 +139,7 @@ def low_snr_slope(dist: FadingDistribution, scheme: Scheme, z_t: float = None) -
     OA's slope is the top of the support (infinite for the usual
     unbounded gains). TCI and CTCI take their fixed threshold and reduce
     to CI at threshold 0, and CTCI to RA at an infinite one. TCI's slope is
-    (1 - F(z_t)) z_t D_max and CTCI's E[min(Z, z_t)] D_max, with the D_max
+    sf(z_t) z_t D_max and CTCI's E[min(Z, z_t)] D_max, with the D_max
     of ``tci_dmax`` and ``ctci_dmax``: each raises ValueError where its
     D_max does.
     """
@@ -156,7 +156,7 @@ def low_snr_slope(dist: FadingDistribution, scheme: Scheme, z_t: float = None) -
         return low_snr_slope(dist, Scheme.CI)
     if scheme is Scheme.TCI:
         d_max = tci_dmax(dist, z_t)
-        return (1.0 - float(dist.cdf(z_t))) * z_t * d_max
+        return float(dist.sf(z_t)) * z_t * d_max
     if z_t == math.inf:
         return dist.mean
     d_max = ctci_dmax(dist, z_t)

@@ -2,18 +2,16 @@
 
 Adaptive quadrature on finite and semi-infinite intervals, survival-function
 tables for the integrals of a gain law, bracketed monotone root finding
-by safeguarded Newton (the caller supplies the derivative) and unimodal
-1-D maximization on a positive, log-spaced bracket.
+by safeguarded Newton (the caller supplies the derivative) and 1-D
+maximization on a positive, log-spaced bracket, which refines its best grid
+cell by that root finder on a first-order condition.
 
 The semi-infinite case maps [a, inf) onto [0, 1) with z = a + t/(1-t),
 so exponential, power-law and extreme-value tails are all handled by the
-same adaptive rule. Adaptive quadrature and maximization are delegated to
-scipy (QUADPACK and bounded Brent minimization) behind the interfaces
-below; the survival tables and the Newton iteration are implemented here,
-so root finding uses no scipy and has no derivative-free path.
-scipy.integrate is imported inside ``integrate_finite`` and scipy.optimize,
-which serves only ``maximize_unimodal``, inside that function: building a
-gain law and a sweep without ``tci:opt`` need neither.
+same adaptive rule. Adaptive quadrature is scipy's QUADPACK, imported inside
+``integrate_finite``. The survival tables, the Newton iteration and the
+maximizer are implemented here: root finding and maximization use no scipy
+and have no derivative-free path.
 
 A ``SurvivalTable`` integrates a survival function sf = 1 - F once, on
 20-node Gauss-Legendre panels in u = log z, and keeps the sums of the
@@ -455,15 +453,19 @@ def maximize_unimodal(
     h: Callable[[float], float],
     bracket: Bracket,
     tol: float = 1e-8,
+    *,
+    foc: Callable[[float], float],
+    dfoc: Callable[[float], float],
 ) -> tuple[float, float]:
     """Maximize a (nominally unimodal) h on a positive bracket.
 
     A pre-scan of ``_MAXIMIZE_GRID`` log-spaced points guards against mild
-    non-unimodality before scipy's bounded Brent refinement, in u = log x,
-    inside the best grid cell; ``tol`` is a width in u, so wide threshold
-    searches get uniform relative resolution. On plateaus the grid keeps
-    the smallest argument, and the refined point replaces it only when its
-    value is strictly larger. ValueError unless ``bracket.lo > 0``.
+    non-unimodality, and the first of equal grid values wins. Where
+    ``foc(u)``, of the sign of dh/du at x = e^u, falls through zero across
+    the best grid cell in u = log x, ``find_root_monotone`` with its
+    derivative ``dfoc`` refines the point to a width ``tol`` in u, and the
+    root replaces it only when h is strictly larger there. ValueError
+    unless ``bracket.lo > 0``.
 
     Returns ``(argmax, max)`` with ``max`` at least the value of h at
     both bracket ends.
@@ -476,18 +478,11 @@ def maximize_unimodal(
     best = int(np.argmax(values))
     best_x, best_val = float(grid[best]), float(values[best])
 
-    left = float(grid[max(best - 1, 0)])
-    right = float(grid[min(best + 1, _MAXIMIZE_GRID - 1)])
-    if left == right:
-        return best_x, best_val
-    from scipy import optimize
-
-    refined = optimize.minimize_scalar(
-        lambda u: -h(math.exp(u)),
-        bounds=(math.log(left), math.log(right)),
-        method="bounded",
-        options={"xatol": tol},
-    )
-    if -refined.fun > best_val:
-        best_x, best_val = math.exp(refined.x), -refined.fun
-    return float(best_x), float(best_val)
+    u_lo = math.log(grid[max(best - 1, 0)])
+    u_hi = math.log(grid[min(best + 1, _MAXIMIZE_GRID - 1)])
+    # written so that a NaN refines nothing
+    if foc(u_lo) > 0.0 > foc(u_hi):
+        x = math.exp(find_root_monotone(foc, Bracket(u_lo, u_hi), tol, dg=dfoc))
+        if (value := h(x)) > best_val:
+            best_x, best_val = x, value
+    return best_x, float(best_val)

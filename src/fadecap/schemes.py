@@ -22,8 +22,8 @@ the OA constraint E[(1/z_t - 1/z)+], the OA capacity E[log(z/z_t); z > z_t],
 the RA capacity E[log(1 + S z)] and the CTCI capacity
 E[log(1 + a min(z, z_t))] need only the survival function 1 - F, so no
 capacity evaluates the density. OA's cutoff solve returns the capacity at
-its cutoff with it. TCI and CTCI take their power ratio from F and the
-tail functional T; CTCI's, F(z_t) + z_t T(z_t), is ``_ctci_power``.
+its cutoff with it. TCI takes its power ratio from the tail functional T
+and CTCI from F and T; CTCI's, F(z_t) + z_t T(z_t), is ``_ctci_power``.
 """
 
 from __future__ import annotations
@@ -76,11 +76,6 @@ class CapacityResult:
 def _check_power(S: float):
     if not 0.0 < S < math.inf:
         raise ValueError(f"average power must be finite and positive, got {S}")
-
-
-def _clip_capacity(value: float) -> float:
-    # quadrature noise may leave a tiny negative residue on a zero capacity
-    return value if value > 0.0 else 0.0
 
 
 def awgn_capacity(dist: FadingDistribution, S: float) -> CapacityResult:
@@ -155,7 +150,7 @@ def oa_capacity(dist: FadingDistribution, S: float) -> CapacityResult:
     return CapacityResult(
         Scheme.OA,
         S,
-        _clip_capacity(solution.capacity_nats),
+        solution.capacity_nats,
         threshold_z_t=solution.z_t,
         power_constraint_residual=solution.residual,
     )
@@ -166,7 +161,7 @@ def ra_capacity(dist: FadingDistribution, S: float) -> CapacityResult:
     S (1 - F(y)) / (1 + S y), summed over the survival table's nodes."""
     _check_power(S)
     cap = dist.survival_table.log1p_expectation(S)
-    return CapacityResult(Scheme.RA, S, _clip_capacity(cap))
+    return CapacityResult(Scheme.RA, S, cap)
 
 
 def ci_capacity(dist: FadingDistribution, S: float) -> CapacityResult:
@@ -204,17 +199,16 @@ def tci_dmax(dist: FadingDistribution, z_t: float) -> float:
 
 
 def tci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityResult:
-    """Truncated inversion: (1 - F(z_t)) log(1 + S D_max z_t)."""
+    """Truncated inversion: sf(z_t) log(1 + S D_max z_t), with sf = 1 - F."""
     _check_power(S)
     tail = _tci_tail(dist, z_t)
     d_max = 1.0 / (z_t * tail)
-    outage = float(dist.cdf(z_t))
-    cap = (1.0 - outage) * math.log1p(S * d_max * z_t)
+    cap = float(dist.sf(z_t)) * math.log1p(S * d_max * z_t)
     residual = d_max * z_t * tail - 1.0
     return CapacityResult(
         Scheme.TCI,
         S,
-        _clip_capacity(cap),
+        cap,
         threshold_z_t=z_t,
         d_max=d_max,
         power_constraint_residual=residual,
@@ -244,21 +238,39 @@ def tci_optimize(dist: FadingDistribution, S: float) -> tuple[ThresholdSolution,
     """Best fixed threshold for truncated inversion at power S.
 
     ``maximize_unimodal`` over ``_default_threshold_bracket``: a log-spaced
-    grid scan followed by bounded Brent refinement in log z_t inside the
-    best grid cell. The grid keeps the smallest threshold on ties, and the
-    refined threshold replaces it only when its capacity is strictly
-    larger. The capacity surface is not guaranteed unimodal, which is
-    exactly what the grid pre-scan guards against.
+    grid scan, then a Newton root in u = log z_t, inside the best grid cell,
+    of the first-order condition sf S / (T (T + S)) = z_t log(1 + S/T)
+    (Goldsmith & Varaiya 1997), dC/du over the density, with its derivative
+    from sf' = -p and dT/du = -p. Each Newton point integrates T once; every
+    grid cell end passed ``_tci_tail``, so T > 0 on the cell. The smallest
+    threshold wins a tie, as in ``maximize_unimodal``.
     """
     _check_power(S)
     bracket = _default_threshold_bracket(dist)
     evals = [0]
+    known = {}
 
     def objective(z_t: float) -> float:
         evals[0] += 1
         return tci_capacity(dist, S, z_t).capacity_nats
 
-    z_star, _ = maximize_unimodal(objective, bracket, tol=1e-6)
+    def point(u: float) -> tuple[float, float, float]:
+        if u not in known:
+            z_t = math.exp(u)
+            known[u] = (z_t, float(dist.sf(z_t)), dist.tail_inverse_integral(z_t))
+        return known[u]
+
+    def foc(u: float) -> float:
+        z_t, sf, T = point(u)
+        return sf * S / (T * (T + S)) - z_t * math.log1p(S / T)
+
+    def dfoc(u: float) -> float:
+        z_t, sf, T = point(u)
+        q = T * (T + S)
+        return (float(dist.pdf(z_t)) * S * (sf * (2.0 * T + S) - 2.0 * z_t * q) / q / q
+                - z_t * math.log1p(S / T))
+
+    z_star, _ = maximize_unimodal(objective, bracket, tol=1e-12, foc=foc, dfoc=dfoc)
     result = tci_capacity(dist, S, z_star)
     solution = ThresholdSolution(
         z_t=z_star,
@@ -315,7 +327,7 @@ def ctci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityRes
     return CapacityResult(
         Scheme.CTCI,
         S,
-        _clip_capacity(cap),
+        cap,
         threshold_z_t=z_t,
         d_max=d_max,
         power_constraint_residual=residual,

@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from fadecap import distributions
+from fadecap import distributions, schemes
 from fadecap.cli import (
     MAX_SNR_GRID_POINTS,
     UsageError,
@@ -20,7 +21,9 @@ from fadecap.cli import (
 )
 from fadecap.numerics import QuadratureError, QuadResult
 
-import workloads  # perfbench/workloads.py; pyproject.toml puts perfbench/ on the path
+# perfbench/oracles.py and workloads.py; pyproject.toml puts perfbench/ on the path
+import oracles
+import workloads
 
 LN2 = math.log(2.0)
 GOLDEN = Path(__file__).parent / "golden"
@@ -190,9 +193,9 @@ class TestCapacityCommand:
 
 
 # Run in a fresh interpreter: builds one law of each kind, sweeps the six
-# default schemes on gamma:N=2 and a tabulated law and runs `verify --level
-# fast` on both, then prints the scipy modules it holds that law
-# construction, such a sweep and the fast checks do not need.
+# default schemes and tci:opt on gamma:N=2 and a tabulated law and runs
+# `verify --level fast` on both, then prints the scipy modules it holds
+# that law construction, such sweeps and the fast checks do not need.
 FRESH_SWEEP = """
 import contextlib, io, sys
 import fadecap.cli as cli
@@ -203,6 +206,8 @@ for spec in ("gamma:N=2", tab):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["sweep", "--dist", spec, "--schemes",
                          "awgn,oa,ra,ci,tci:zt=1,ctci:zt=1", "--snr-db=-60:90:5"]) == 0
+        assert cli.main(["sweep", "--dist", spec, "--schemes", "ci,tci:zt=1,tci:opt",
+                         "--snr-db=0:30:5"]) == 0
         assert cli.main(["verify", "--dist", spec, "--level", "fast"]) == 0
 print(",".join(m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg")
                if m in sys.modules))
@@ -210,9 +215,10 @@ print(",".join(m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg")
 
 
 def test_builds_and_default_sweeps_import_no_quadrature_or_optimizer(tmp_path):
-    # scipy.integrate and scipy.optimize (which pulls in scipy.linalg) are
-    # imported on first use: no law construction, no sweep without tci:opt
-    # and no fast check on a law with a closed-form T needs them
+    # scipy.integrate is imported on first use, and fadecap imports no
+    # scipy.optimize (which pulls in scipy.linalg): no law construction, no
+    # sweep (tci:opt included) and no fast check on a law with a closed-form
+    # T needs them
     tab3 = tmp_path / "tab3.csv"
     tab3.write_text("".join(f"{z!r},{p!r}\n" for z, p in workloads.tab_grid(3)),
                     encoding="utf-8")
@@ -291,8 +297,6 @@ class TestSweepCommand:
         ("sweep_gamma2_oa_ctci.csv",
          ["--dist", "gamma:N=2", "--schemes", "oa,ctci:zt=0.3,ctci:zt=1,ctci:zt=3",
           "--snr-db=-60:90:1"]),
-        # tci:opt is left out: the last digit of its threshold is not
-        # determined by the solve
         ("sweep_tab3_six_schemes.csv",
          ["--dist", "tab:path={tab3}", "--schemes", "awgn,oa,ra,ci,tci:zt=1,ctci:zt=1",
           "--snr-db=-60:90:5"]),
@@ -311,6 +315,22 @@ class TestSweepCommand:
         code, _, _ = run(capsys, ["sweep", *args, "--out", str(out)])
         assert code == 0
         assert out.read_bytes() == (GOLDEN / fixture).read_bytes()
+
+    def test_optimized_thresholds_print_the_oracle_digits(self, capsys, tmp_path):
+        # every z_t that a tci:opt sweep prints is the 30-digit optimum's
+        # to the six digits printed
+        out = tmp_path / "tci_opt.csv"
+        code, _, _ = run(capsys, ["sweep", "--dist", "gamma:N=2", "--schemes", "tci:opt",
+                                  "--snr-db=-30:60:10", "--out", str(out)])
+        assert code == 0
+        rows = read_sweep(out)
+        bracket = schemes._default_threshold_bracket(parse_distribution_spec("gamma:N=2").build())
+        assert [r["snr_db"] for r in rows] == [str(db) for db in range(-30, 70, 10)]
+        for row in rows:
+            S = 10.0 ** (int(row["snr_db"]) / 10.0)
+            with mp.workdps(oracles.DPS):
+                z_t, _ = oracles.tci_best(oracles.gamma2_law(), S, bracket.lo, bracket.hi)
+            assert row["z_t"] == f"{float(z_t):.6g}", row
 
     def test_bits_are_formatted_nats_over_log2(self, capsys, tmp_path):
         bits, nats = tmp_path / "bits.csv", tmp_path / "nats.csv"

@@ -316,7 +316,11 @@ LOWER_END_LAWS = {
 # and T(0.5), T(1), T(3) (each within 1.4e-16 of it). Two "zero" CTCI
 # values moved when CTCI became a capped sum of sf on the survival table,
 # and were recorded again: at S = 0.1 from 2.4e-16 to 3.5e-17 off the
-# 30-digit oracle, and at S = 10 from 1.2e-16 to 2.1e-16.
+# 30-digit oracle, and at S = 10 from 1.2e-16 to 2.1e-16. The three
+# "zero" TCI values moved by 1 ulp when TCI came to read sf(z_t) in place
+# of 1 - F(z_t), and were recorded again: relative to the 50-digit oracle
+# at S = 0.1 from 6.2e-17 to 9.6e-17, at S = 10 from 1.2e-18 to 1.8e-16
+# and at S = 1000 from 1.15e-16 to 3.7e-17.
 LOWER_END_RECORDS = {
     "off": {
         "caps": [
@@ -329,9 +333,9 @@ LOWER_END_RECORDS = {
     },
     "zero": {
         "caps": [
-            [0.24309675993420296, 0.17604501014943327, 0.09924743494198672, 0.1768435623804191, 0.1332826500207098],
-            [2.827079408283784, 2.822341153229345, 2.4365871568118664, 2.469782545485301, 2.6883954319536496],
-            [7.343200069630935, 7.343198009134988, 6.9511932211513185, 5.859195485533611, 7.21653859328779],
+            [0.24309675993420296, 0.17604501014943327, 0.09924743494198672, 0.17684356238041912, 0.1332826500207098],
+            [2.827079408283784, 2.822341153229345, 2.4365871568118664, 2.4697825454853013, 2.6883954319536496],
+            [7.343200069630935, 7.343198009134988, 6.9511932211513185, 5.859195485533612, 7.21653859328779],
         ],
         "T": [0.9584096416599809, 0.6086608593174792, 0.3714611267665928, 0.05028430536467673],
         "H": [0.02768702489121152, 0.15904882684412947, 1.1636194628497902, 1.996648209304423],

@@ -236,37 +236,54 @@ class TestNewtonRootFinding:
 
 
 class TestMaximizeUnimodal:
+    # foc(u) has the sign of dh/du at x = e^u, and dfoc is its derivative in u
+
     def test_parabola(self):
-        x, v = maximize_unimodal(lambda x: -((x - 3.0) ** 2), Bracket(0.1, 10.0), tol=1e-10)
-        assert x == pytest.approx(3.0, abs=1e-6)
-        assert v == pytest.approx(0.0, abs=1e-12)
+        x, v = maximize_unimodal(lambda x: -((x - 3.0) ** 2), Bracket(0.1, 10.0), tol=1e-10,
+                                 foc=lambda u: -2.0 * math.exp(u) * (math.exp(u) - 3.0),
+                                 dfoc=lambda u: math.exp(u) * (6.0 - 4.0 * math.exp(u)))
+        assert x == pytest.approx(3.0, abs=1e-9)
+        assert v == pytest.approx(0.0, abs=1e-18)
 
     def test_x_exp_minus_x(self):
-        x, _ = maximize_unimodal(lambda x: x * math.exp(-x), Bracket(1e-3, 10.0), tol=1e-10)
-        assert x == pytest.approx(1.0, abs=1e-6)
+        x, _ = maximize_unimodal(lambda x: x * math.exp(-x), Bracket(1e-3, 10.0), tol=1e-10,
+                                 foc=lambda u: 1.0 - math.exp(u), dfoc=lambda u: -math.exp(u))
+        assert x == pytest.approx(1.0, abs=1e-9)
 
     def test_value_dominates_bracket_ends(self):
         h = lambda x: math.sin(x)
-        x, v = maximize_unimodal(h, Bracket(0.5, 3.0))
+        x, v = maximize_unimodal(h, Bracket(0.5, 3.0), foc=lambda u: math.cos(math.exp(u)),
+                                 dfoc=lambda u: -math.exp(u) * math.sin(math.exp(u)))
         assert v >= h(0.5) and v >= h(3.0)
+        assert x == pytest.approx(math.pi / 2, rel=1e-7)
 
     def test_log_bracket(self):
         h = lambda x: -((math.log(x) - math.log(0.01)) ** 2)
-        x, _ = maximize_unimodal(h, Bracket(1e-6, 1e2), tol=1e-10)
-        assert x == pytest.approx(0.01, rel=1e-4)
+        x, _ = maximize_unimodal(h, Bracket(1e-6, 1e2), tol=1e-10,
+                                 foc=lambda u: -(u - math.log(0.01)), dfoc=lambda u: -1.0)
+        assert x == pytest.approx(0.01, rel=1e-9)
 
     @pytest.mark.parametrize("lo", [1e-3, 0.25])
     def test_plateau_keeps_first_grid_point_on_it(self, lo):
-        # min(x, 1) is flat from x = 1: no refined point is strictly
-        # better, so the first grid point on the plateau is returned
+        # min(x, 1) is flat from x = 1, where its first-order condition is
+        # 0: it does not fall through zero, so the first grid point on the
+        # plateau is returned
         grid = np.geomspace(lo, 3.0, 64)
-        x, v = maximize_unimodal(lambda x: min(x, 1.0), Bracket(lo, 3.0))
+        x, v = maximize_unimodal(lambda x: min(x, 1.0), Bracket(lo, 3.0),
+                                 foc=lambda u: 1.0 if u < 0.0 else 0.0, dfoc=lambda u: 0.0)
         assert (x, v) == (float(grid[grid >= 1.0][0]), 1.0)
+
+    def test_nan_first_order_condition_keeps_the_grid_point(self):
+        grid = np.geomspace(0.1, 10.0, 64)
+        x, _ = maximize_unimodal(lambda x: -((x - 3.0) ** 2), Bracket(0.1, 10.0),
+                                 foc=lambda u: math.nan, dfoc=lambda u: math.nan)
+        assert x == float(grid[np.argmin(np.abs(grid - 3.0))])
 
     @pytest.mark.parametrize("lo", [0.0, -1.0])
     def test_rejects_a_bracket_that_is_not_positive(self, lo):
         with pytest.raises(ValueError, match="positive"):
-            maximize_unimodal(lambda x: -abs(x), Bracket(lo, 3.0))
+            maximize_unimodal(lambda x: -abs(x), Bracket(lo, 3.0),
+                              foc=lambda u: -1.0, dfoc=lambda u: 0.0)
 
 
 # (sf, cdf, pdf) of Z uniform on [1, 2] and of the exponential law

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import tanhsinh
 
-from fadecap import distributions, numerics, schemes
+from fadecap import cli, distributions, numerics, schemes
+from fadecap.asymptotics import low_snr_slope
 from fadecap.distributions import (
     FadingDistribution,
     make_frechet,
@@ -543,6 +544,13 @@ class TestRaCapacity:
             for S in (0.1, 1.0, 10.0):
                 assert ra_capacity(d, S).capacity_nats <= awgn_capacity(d, S).capacity_nats
 
+    def test_nan_from_the_table_is_not_hidden(self, monkeypatch, gamma2):
+        # a capacity is a sum of nonnegative terms, so nothing clips it: a
+        # fault that makes it NaN shows as NaN, not as a zero capacity
+        monkeypatch.setattr(numerics.SurvivalTable, "log1p_expectation",
+                            lambda table, s, cap=math.inf: math.nan)
+        assert math.isnan(ra_capacity(gamma2, 10.0).capacity_nats)
+
 
 class TestCiCapacity:
     def test_gamma2(self, gamma2):
@@ -561,6 +569,18 @@ class TestCiCapacity:
 
 
 class TestTci:
+    @pytest.mark.parametrize("z_t", [1.0, 10.0, 20.0, 30.0, 35.0, 40.0])
+    def test_far_tail_keeps_the_survival_digits(self, gamma2, z_t):
+        # gamma:N=2 has sf = (1 + z) e^-z and T = e^-z, so the capacity is
+        # (1 + z_t) e^-z_t log(1 + S e^z_t) and the low-SNR slope sf / T is
+        # 1 + z_t. 1 - F(z_t) keeps none of sf's digits by z_t = 40.
+        S = 1e3
+        with mp.workdps(40):
+            z = mp.mpf(z_t)
+            exact = float((1 + z) * mp.exp(-z) * mp.log1p(S * mp.exp(z)))
+        assert tci_capacity(gamma2, S, z_t).capacity_nats == pytest.approx(exact, rel=1e-15)
+        assert low_snr_slope(gamma2, Scheme.TCI, z_t) == pytest.approx(1.0 + z_t, rel=1e-15)
+
     def test_dmax_closed_form(self, gamma2):
         # threshold 1: the inverse-gain tail integral is e^{-1}
         assert tci_dmax(gamma2, 1.0) == pytest.approx(math.e, rel=1e-10)
@@ -671,6 +691,23 @@ class TestTciOptimize:
         calls = _watch_integrators(monkeypatch)
         tci_optimize(law, 10.0)
         assert bool(calls) == integrates
+
+    @pytest.mark.parametrize("law", ["gamma2", "miso22", "tab"])
+    def test_threshold_solves_the_first_order_condition(self, law):
+        # the oracle's optimum is a 30-digit root of the first-order
+        # condition; measured worst 2.3e-14 relative in z_t (gamma2, 45 dB)
+        # and 8.9e-16 nats
+        dist = workloads.build_law(cli, distributions, law, 3)
+        ref = {"gamma2": oracles.gamma2_law, "miso22": lambda: oracles.miso_law(2, 2),
+               "tab": lambda: oracles.TabulatedLaw("tab3", workloads.tab_grid(3))}[law]()
+        bracket = schemes._default_threshold_bracket(dist)
+        for snr_db in (0, 14, 28, 45):
+            S = 10.0 ** (snr_db / 10.0)
+            solution, best = tci_optimize(dist, S)
+            with mp.workdps(oracles.DPS):
+                z_ref, c_ref = oracles.tci_best(ref, S, bracket.lo, bracket.hi)
+            assert solution.z_t == pytest.approx(float(z_ref), rel=1e-12, abs=0.0), snr_db
+            assert abs(best.capacity_nats - float(c_ref)) <= 1e-15, snr_db
 
     @pytest.mark.parametrize("S", [1.0, 25.0])
     def test_bounded_law_matches_30_digit_optimum(self, S):
