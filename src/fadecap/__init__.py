@@ -50,10 +50,7 @@ from .asymptotics import (
     gap_oa_ci,
     gap_report,
     low_snr_slope,
-    low_snr_slope_numeric,
     multiuser_gap_asymptotic,
-    prelog_analytic,
-    prelog_numeric,
     space_diversity_gaps,
 )
 from .mc import McEstimate, mc_capacity
@@ -96,10 +93,7 @@ __all__ = [
     "gap_oa_ci",
     "gap_report",
     "low_snr_slope",
-    "low_snr_slope_numeric",
     "multiuser_gap_asymptotic",
-    "prelog_analytic",
-    "prelog_numeric",
     "space_diversity_gaps",
     "McEstimate",
     "mc_capacity",

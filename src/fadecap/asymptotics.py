@@ -19,6 +19,13 @@ order as 1/E[1/z] (CI) <= CTCI <= E[z] (RA and AWGN), while the optimal
 scheme's slope is the top of the gain's support, typically infinite:
 fading helps at sufficiently low SNR.
 
+Both hold as bounds at every S. With C(S) = E[log(1 + S X)] for every
+scheme but OA, X the received SNR per unit power, log1p(x) lies in
+[log x, log x + 1/x] and in [x (1 - x/2), x], so C - (P log S + E[log X])
+lies in [0, E[1/X] / S] (P = Pr(X > 0), the expectations over X > 0) and
+C / S in [m (1 - S sup X / 2), m] for the slope m = E[X]. ``verify``
+checks both.
+
 Infinite gaps and slopes are legitimate values here, not errors.
 """
 
@@ -26,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from scipy import special
 
@@ -117,22 +123,6 @@ def multiuser_gap_asymptotic(K) -> float:
     return math.log1p(EULER_MASCHERONI / math.log(K))
 
 
-def prelog_numeric(capacity_fn: Callable[[float], float], S_hi: float,
-                   log_step: float = 1e-3) -> float:
-    """Central finite difference of capacity against log S at S_hi."""
-    up = capacity_fn(S_hi * math.exp(log_step))
-    down = capacity_fn(S_hi * math.exp(-log_step))
-    return (up - down) / (2.0 * log_step)
-
-
-def prelog_analytic(outage_probability: float) -> float:
-    """Pre-log constant of any power law with S-independent shape:
-    one minus the probability of the silent region."""
-    if not 0.0 <= outage_probability <= 1.0:
-        raise ValueError(f"outage probability must lie in [0, 1], got {outage_probability}")
-    return 1.0 - outage_probability
-
-
 def low_snr_slope(dist: FadingDistribution, scheme: Scheme, z_t: float = None) -> float:
     """Analytic limit of dC/dS at S -> 0 for one scheme.
 
@@ -163,8 +153,3 @@ def low_snr_slope(dist: FadingDistribution, scheme: Scheme, z_t: float = None) -
     # E[min(Z, z_t)], the integral of 1 - F over [0, z_t]
     return dist.survival_table.sf_integral(z_t) * d_max
 
-
-def low_snr_slope_numeric(capacity_fn: Callable[[float], float], S_lo: float) -> float:
-    """Central finite difference of capacity against S at S_lo."""
-    h = 0.5 * S_lo
-    return (capacity_fn(S_lo + h) - capacity_fn(S_lo - h)) / (2.0 * h)

@@ -319,9 +319,11 @@ def _validate(dist: FadingDistribution, sf_past_top: Callable = None) -> FadingD
 
     ``sf`` is checked against the CDF at the knots. A moment the factory
     left as None has no closed form; it is summed on the table's nodes
-    (``SurvivalTable.expectation``) and set on the law, which is still being
-    built. The mass is the density summed on the nodes, plus F below the
-    table (``SurvivalTable.mass``). A finite mean is checked against the
+    (``SurvivalTable.expectation``), divided by the table's mass so that a
+    density normalised some ulps off (MISO's float log Gamma(N)) does not
+    skew it, and set on the law, which is still being built. The mass is
+    the density summed on the nodes, plus F below the table
+    (``SurvivalTable.mass``). A finite mean is checked against the
     integral of sf, an independent route: ``SurvivalTable.sf_integral()``,
     plus ``sf_past_top(top)``, the integral of sf past the table's top in
     closed form, where a heavy tail leaves a part of the mean there.
@@ -338,7 +340,8 @@ def _validate(dist: FadingDistribution, sf_past_top: Callable = None) -> FadingD
     bottom = dist.quad_knots[0] if dist.support_sup < math.inf and dist.quad_knots else 0.0
     for name, g in _MOMENT_INTEGRANDS.items():
         if getattr(dist, name) is None:
-            object.__setattr__(dist, name, table.expectation(g, dist.pdf, bottom, dist.support_sup))
+            moment = table.expectation(g, dist.pdf, bottom, dist.support_sup) / table.mass
+            object.__setattr__(dist, name, moment)
     # written as "not within" so that a NaN fails each check
     if not abs(table.mass - 1.0) <= _MASS_TOL:
         raise ValueError(f"{dist.name}: density mass {table.mass} deviates from 1")

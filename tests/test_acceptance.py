@@ -20,16 +20,13 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import digamma, gammaln, zeta
+from scipy.special import digamma, exp1, gammaln, zeta
 
 from fadecap.asymptotics import (
     gap_awgn_ci,
     gap_oa_ci,
     low_snr_slope,
-    low_snr_slope_numeric,
     multiuser_gap_asymptotic,
-    prelog_analytic,
-    prelog_numeric,
     space_diversity_gaps,
 )
 from fadecap.distributions import (
@@ -269,45 +266,64 @@ def test_criterion_6_ordering_chain(gamma2, maxexp4, miso22):
     assert report(6, ok, f"min slack {worst:.2e} ({where[2]} for {where[0]} at {where[1]:g} dB)")
 
 
+def _outside(value, lo, hi):
+    """How far value lies outside [lo, hi]; negative inside."""
+    return max(lo - value, value - hi)
+
+
+# gamma:N=2 in closed form: E[log z] = 1 - gamma, E[1/z] = 1, sf(t) = (1 + t)e^-t,
+# T(t) = e^-t and E[log z; z > 1] = 1/e + E1(1); CTCI at z_t = 1 has
+# D_max = 1/(F(1) + T(1)) = 1/(1 - 1/e) and E[min(z, 1)] = 2 - 3/e.
+E_INV = math.exp(-1.0)
+CTCI_DMAX = 1.0 / (1.0 - E_INV)
+
+
 def test_criterion_7_prelog_constants(gamma2):
-    S_hi = 1e6
-    devs = {}
-    for name, fn, expected in (
-        ("ra", lambda S: ra_capacity(gamma2, S).capacity_nats, 1.0),
-        ("ci", lambda S: ci_capacity(gamma2, S).capacity_nats, 1.0),
-        ("ctci", lambda S: ctci_capacity(gamma2, S, 1.0).capacity_nats, 1.0),
-    ):
-        devs[name] = abs(prelog_numeric(fn, S_hi) - expected)
+    # log x <= log1p(x) <= log x + 1/x: C(S) = E[log(1 + S X)] lies at most
+    # E[1/X; X > 0] / S above the line P log S + E[log X; X > 0], so the
+    # pre-log is P = Pr(X > 0): 1 for RA, CI and CTCI, 1 - F(z_t) for TCI
+    S = 1e6
+    psi2 = 1.0 - EULER_MASCHERONI
+    cases = {
+        "ra": (ra_capacity(gamma2, S), 1.0, psi2, 1.0),
+        "ci": (ci_capacity(gamma2, S), 1.0, 0.0, 1.0),
+        # X = D_max min(z, 1): E[1/X] = (E[1/z] - T(1) + sf(1)) / D_max
+        "ctci": (ctci_capacity(gamma2, S, 1.0), 1.0,
+                 math.log(CTCI_DMAX) + psi2 - E_INV - exp1(1.0), (1.0 + E_INV) / CTCI_DMAX),
+    }
     for z_t in (0.5, 1.0, 2.0):
-        expected = prelog_analytic(float(gamma2.cdf(z_t)))
-        got = prelog_numeric(
-            lambda S: tci_capacity(gamma2, S, z_t).capacity_nats, S_hi
-        )
-        devs[f"tci@{z_t}"] = abs(got - expected)
-    worst = max(devs.values())
-    ok = worst <= 0.02
-    assert report(7, ok, f"max prelog deviation {worst:.4f}")
+        # X = 1/T(z_t) = e^z_t above the cutoff
+        P = (1.0 + z_t) * math.exp(-z_t)
+        assert P == pytest.approx(1.0 - float(gamma2.cdf(z_t)), rel=1e-14)
+        cases[f"tci@{z_t}"] = (tci_capacity(gamma2, S, z_t), P, P * z_t, P * math.exp(-z_t))
+    outside = {
+        name: _outside(res.capacity_nats - (P * math.log(S) + log_x), 0.0, inv_x / S)
+        for name, (res, P, log_x, inv_x) in cases.items()
+    }
+    worst = max(outside, key=outside.get)
+    ok = outside[worst] <= 1e-9
+    assert report(7, ok, f"farthest outside its high-SNR bounds: {worst} by {outside[worst]:.2e} nats")
 
 
 def test_criterion_8_low_snr_suite(gamma2, miso22):
-    S_lo = 1e-6
-    rel_devs = {}
-    cases = [
-        ("ra", Scheme.RA, None, lambda S: ra_capacity(gamma2, S).capacity_nats),
-        ("ci", Scheme.CI, None, lambda S: ci_capacity(gamma2, S).capacity_nats),
-        ("tci@1", Scheme.TCI, 1.0, lambda S: tci_capacity(gamma2, S, 1.0).capacity_nats),
-        (
-            "ctci@1",
-            Scheme.CTCI,
-            1.0,
-            lambda S: ctci_capacity(gamma2, S, 1.0).capacity_nats,
-        ),
-    ]
-    for name, scheme, z_t, fn in cases:
-        analytic = low_snr_slope(gamma2, scheme, z_t)
-        numeric = low_snr_slope_numeric(fn, S_lo)
-        rel_devs[name] = abs(numeric - analytic) / analytic
-    slopes_ok = max(rel_devs.values()) <= 0.01
+    # x (1 - x/2) <= log1p(x) <= x: C(S) / S lies in [m (1 - S c / 2), m] for
+    # the slope m = E[X] and X <= c. RA's X = z is capped at c = 1e3, where
+    # E[min(z, c)] = 2 - (2 + c)e^-c rounds to m = 2
+    S = 1e-6
+    ctci_slope = (2.0 - 3.0 * E_INV) * CTCI_DMAX
+    cases = {
+        "awgn": (awgn_capacity(gamma2, S), Scheme.AWGN, None, 2.0, 2.0),
+        "ra": (ra_capacity(gamma2, S), Scheme.RA, None, 2.0, 1e3),
+        "ci": (ci_capacity(gamma2, S), Scheme.CI, None, 1.0, 1.0),
+        "tci@1": (tci_capacity(gamma2, S, 1.0), Scheme.TCI, 1.0, 2.0, math.e),
+        "ctci@1": (ctci_capacity(gamma2, S, 1.0), Scheme.CTCI, 1.0, ctci_slope, CTCI_DMAX),
+    }
+    outside = {}
+    for name, (res, scheme, z_t, m, cap) in cases.items():
+        assert low_snr_slope(gamma2, scheme, z_t) == pytest.approx(m, rel=1e-14)
+        outside[name] = _outside(res.capacity_nats / S, m * (1.0 - 0.5 * S * cap), m)
+    worst = max(outside, key=outside.get)
+    slopes_ok = outside[worst] <= 1e-9
 
     S30 = 10.0 ** (-30.0 / 10.0)
     awgn = awgn_capacity(miso22, S30).capacity_nats
@@ -321,7 +337,7 @@ def test_criterion_8_low_snr_suite(gamma2, miso22):
     assert report(
         8,
         ok,
-        f"max slope dev {max(rel_devs.values()):.2%}; OA>AWGN={oa_beats} "
+        f"farthest outside its slope bounds: {worst} by {outside[worst]:.2e}; OA>AWGN={oa_beats} "
         f"TCI>AWGN={tci_beats} @-30dB; TCI slope monotone={tci_monotone}",
     )
 

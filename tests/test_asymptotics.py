@@ -13,10 +13,7 @@ from fadecap.asymptotics import (
     gap_oa_ci,
     gap_report,
     low_snr_slope,
-    low_snr_slope_numeric,
     multiuser_gap_asymptotic,
-    prelog_analytic,
-    prelog_numeric,
     space_diversity_gaps,
 )
 from fadecap.distributions import (
@@ -33,10 +30,10 @@ from fadecap.schemes import (
     ci_capacity,
     ctci_capacity,
     oa_capacity,
-    ra_capacity,
     tci_capacity,
     tci_dmax,
 )
+from fadecap.verify import check_prelogs
 
 LN2 = math.log(2.0)
 
@@ -216,30 +213,29 @@ class TestGapHelperCounts:
 
 
 class TestPrelog:
-    def test_analytic_bounds(self):
-        assert prelog_analytic(0.0) == 1.0
-        assert prelog_analytic(1.0) == 0.0
-        with pytest.raises(ValueError):
-            prelog_analytic(1.5)
+    """C(S) = E[log(1 + S X)] and log x <= log1p(x) <= log x + 1/x put C at
+    most E[1/X; X > 0] / S above the line P log S + E[log X; X > 0], with
+    pre-log P = Pr(X > 0)."""
+
+    S = 1e6
 
     def test_awgn(self, gamma2):
-        got = prelog_numeric(lambda S: awgn_capacity(gamma2, S).capacity_nats, 1e6)
-        assert got == pytest.approx(1.0, abs=1e-3)
+        # X = E[z] = 2
+        excess = awgn_capacity(gamma2, self.S).capacity_nats - math.log(2.0 * self.S)
+        assert 0.0 <= excess <= 0.5 / self.S
 
     def test_outage_free_schemes(self, miso22):
-        for fn in (
-            lambda S: ra_capacity(miso22, S).capacity_nats,
-            lambda S: ci_capacity(miso22, S).capacity_nats,
-            lambda S: ctci_capacity(miso22, S, 1.0).capacity_nats,
-        ):
-            assert prelog_numeric(fn, 1e6) == pytest.approx(1.0, abs=0.02)
+        results = {r.name: r for r in check_prelogs(miso22)}
+        for name in ("prelog_ra", "prelog_ci", "prelog_ctci"):
+            assert results[name].passed, results[name]
 
     def test_truncated_inversion(self, gamma2):
-        z_t = 1.0
-        expected = prelog_analytic(float(gamma2.cdf(z_t)))
-        got = prelog_numeric(lambda S: tci_capacity(gamma2, S, z_t).capacity_nats, 1e6)
-        assert expected == pytest.approx(2.0 * math.exp(-1.0), abs=1e-12)
-        assert got == pytest.approx(expected, abs=0.02)
+        # X = 1/T(z_t) = e^z_t above the cutoff, with P = sf(z_t) = (1 + z_t) e^-z_t
+        for z_t in (0.5, 1.0, 2.0):
+            P = (1.0 + z_t) * math.exp(-z_t)
+            assert P == pytest.approx(1.0 - float(gamma2.cdf(z_t)), rel=1e-14)
+            excess = tci_capacity(gamma2, self.S, z_t).capacity_nats - P * (math.log(self.S) + z_t)
+            assert -1e-12 <= excess <= P * math.exp(-z_t) / self.S + 1e-12
 
 
 class TestLowSnrSlopes:
@@ -293,15 +289,17 @@ class TestLowSnrSlopes:
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             low_snr_slope(gamma2, Scheme.CTCI, z_t)
 
+    # x (1 - x/2) <= log1p(x) <= x bounds C(S) / S by m (1 - S m / 2) and
+    # the slope m, for a constant X = m
     def test_numeric_awgn(self, gamma2):
-        got = low_snr_slope_numeric(
-            lambda S: awgn_capacity(gamma2, S).capacity_nats, 1e-6
-        )
-        assert got == pytest.approx(2.0, rel=0.01)
+        S = 1e-6
+        got = awgn_capacity(gamma2, S).capacity_nats / S
+        assert 2.0 * (1.0 - S) <= got <= 2.0
 
     def test_numeric_ci(self, gamma2):
-        got = low_snr_slope_numeric(lambda S: ci_capacity(gamma2, S).capacity_nats, 1e-6)
-        assert got == pytest.approx(1.0, rel=0.01)
+        S = 1e-6
+        got = ci_capacity(gamma2, S).capacity_nats / S
+        assert 1.0 - 0.5 * S <= got <= 1.0
 
     def test_oa_slope_grows_without_bound(self, gamma2):
         slopes = [

@@ -434,8 +434,9 @@ def test_moments_match_30_digit_oracles(name):
 def test_miso_moments_summed_on_the_table_match_30_digit_quadrature(N, K):
     # E[z], E[1/z] and E[log z] of the density K P(N, z)^(K-1) z^(N-1) e^-z
     # / Gamma(N), integrated by mpmath with breaks about the peak. Worst
-    # measured: 5.7e-16 up to (8, 8); 1.1e-14 on all three at (64, 4), where
-    # the float log Gamma(64) in the density is 1.1e-14 off
+    # measured 2.2e-16. The float log Gamma(64) puts the density at (64, 4)
+    # 1.1e-14 off; the division by the table's mass takes that out (the
+    # moments were 1.1e-14 off without it)
     law = make_miso_multiuser(N, K)
     with mpmath.workdps(oracles.DPS):
         lg = mpmath.loggamma(N)
@@ -450,7 +451,7 @@ def test_miso_moments_summed_on_the_table_match_30_digit_quadrature(N, K):
         for got, g in ((law.mean, lambda z: z), (law.inverse_mean, lambda z: 1 / z),
                        (law.log_mean, mpmath.log)):
             exact = mpmath.quad(lambda z: g(z) * pdf(z), breaks)
-            assert _rel_err(got, exact) <= 1e-13, (got, exact)
+            assert _rel_err(got, exact) <= 1e-15, (got, exact)
 
 
 @pytest.mark.parametrize("name, c", [

@@ -1,13 +1,24 @@
 """Self-check suite plumbing."""
 
+import dataclasses
+
 import pytest
 
-from fadecap.distributions import make_gamma_diversity, make_max_exponential
+from fadecap import schemes
+from fadecap.cli import parse_distribution_spec
+from fadecap.distributions import make_gamma_diversity, make_max_exponential, make_miso_multiuser
 from fadecap.verify import run_checks
 
 
-def test_fast_level_all_pass():
-    results = run_checks(make_gamma_diversity(2), level="fast")
+@pytest.mark.parametrize("spec", [
+    "gamma:N=2", "gamma:N=1", "maxexp:K=1", "frechet:alpha=0.8", "frechet:alpha=1.01,K=8",
+    "frechet:alpha=50", "miso:N=64,K=4",
+])
+def test_fast_level_all_pass(spec):
+    # frechet(1.01, 8) is in the heavy-tail domain: at S = 1e-6 its RA
+    # capacity over S is 90, far from the slope E[z] = 787, and only a bound
+    # that holds at every S, not a limit, can pass there
+    results = run_checks(parse_distribution_spec(spec).build(), level="fast")
     assert results, "no checks ran"
     failed = [r.name for r in results if not r.passed]
     assert not failed, failed
@@ -19,6 +30,24 @@ def test_fast_level_handles_degenerate_inversion():
     results = run_checks(make_gamma_diversity(1), level="fast")
     failed = [r.name for r in results if not r.passed]
     assert not failed, failed
+
+
+@pytest.mark.parametrize("kernel, change, check", [
+    # a constant offset at high SNR leaves the pre-log's slope in log S alone
+    ("ra_capacity", lambda S, C: C - 1e-3 if S > 1e3 else C, "prelog_ra"),
+    ("ctci_capacity", lambda S, C: C - 1e-3 if S > 1e3 else C, "prelog_ctci"),
+    ("ra_capacity", lambda S, C: C * (1.0 + 1e-3) if S == 1e-6 else C, "slope_ra"),
+], ids=["prelog_ra", "prelog_ctci", "slope_ra"])
+def test_a_capacity_off_its_bounds_fails_its_check(monkeypatch, kernel, change, check):
+    original = getattr(schemes, kernel)
+
+    def mutated(dist, S, *args):
+        result = original(dist, S, *args)
+        return dataclasses.replace(result, capacity_nats=change(S, result.capacity_nats))
+
+    monkeypatch.setattr(schemes, kernel, mutated)
+    results = {r.name: r for r in run_checks(make_miso_multiuser(2, 2), level="fast")}
+    assert not results[check].passed, results[check]
 
 
 def test_full_level_includes_mc_checks():
