@@ -83,11 +83,6 @@ from .numerics import (
     integrate_semi_infinite,
 )
 
-# Tail functionals and moments feed high-SNR gap formulas that are checked
-# to 1e-10, so ``expect`` integrates well past the capacity-integral
-# tolerance.
-MOMENT_REL_TOL = 1e-12
-
 _MASS_TOL = 1e-9
 _MEAN_CROSS_CHECK_RTOL = 1e-8
 _SF_CHECK_TOL = 1e-12
@@ -219,21 +214,20 @@ class FadingDistribution:
     def mean_finite(self) -> bool:
         return math.isfinite(self.mean)
 
-    def expect(self, integrand=None, lo: float = 0.0, hi: float = None,
-               rel_tol: float = MOMENT_REL_TOL) -> float:
+    def expect(self, integrand=None, lo: float = 0.0, hi: float = None) -> float:
         """Integral of integrand(z) * pdf(z) over [lo, hi] (hi=None: support top).
 
         On a bounded support the sum runs over the nodes of the law's
         ``survival_table`` (``SurvivalTable.expectation``), whose panels lie
         between ``quad_knots``: the knots must split the density into smooth
         pieces, a bounded law's first knot is its lower support end (the
-        density is 0 below it), the integrand and the density must take
-        arrays, and ``rel_tol`` is not used. On an unbounded support QUADPACK
-        integrates adaptively to ``rel_tol``, with subdivision forced at the
-        law's knots: the table stops where sf is spent, and on a heavy tail
-        an integral of z pdf to t past its top would lose up to t sf(top)
-        (E[min(Z, t)] from sf, ``SurvivalTable.sf_integral``, loses under
-        t ``SF_TABLE_CUT``). No law's construction calls ``expect``; T(t)
+        density is 0 below it), and the integrand and the density must take
+        arrays. On an unbounded support QUADPACK integrates adaptively to
+        ``numerics.REL_TOL``, with subdivision forced at the law's knots: the
+        table stops where sf is spent, and on a heavy tail an integral of
+        z pdf to t past its top would lose up to t sf(top) (E[min(Z, t)]
+        from sf, ``SurvivalTable.sf_integral``, loses under t
+        ``SF_TABLE_CUT``). No law's construction calls ``expect``; T(t)
         without a closed form does.
         """
         bounded = self.support_sup < math.inf
@@ -246,8 +240,8 @@ class FadingDistribution:
             return self.survival_table.expectation(g, self.pdf, lower, upper)
         f = self.pdf if integrand is None else (lambda z: integrand(z) * self.pdf(z))
         if math.isinf(upper):
-            return integrate_semi_infinite(f, lower, rel_tol, knots=self.quad_knots).value
-        return integrate_finite(f, lower, upper, rel_tol, knots=self.quad_knots).value
+            return integrate_semi_infinite(f, lower, knots=self.quad_knots).value
+        return integrate_finite(f, lower, upper, knots=self.quad_knots).value
 
     @functools.cached_property
     def survival_table(self) -> SurvivalTable:

@@ -3,15 +3,16 @@
 Adaptive quadrature on finite and semi-infinite intervals, survival-function
 tables for the integrals of a gain law, bracketed monotone root finding
 by safeguarded Newton (the caller supplies the derivative) and 1-D
-maximization on a positive, log-spaced bracket, which refines its best grid
-cell by that root finder on a first-order condition.
+maximization on a positive, log-spaced bracket, whose grid seeds that root
+finder on a first-order condition.
 
 The semi-infinite case maps [a, inf) onto [0, 1) with z = a + t/(1-t),
 so exponential, power-law and extreme-value tails are all handled by the
 same adaptive rule. Adaptive quadrature is scipy's QUADPACK, imported inside
-``integrate_finite``. The survival tables, the Newton iteration and the
-maximizer are implemented here: root finding and maximization use no scipy
-and have no derivative-free path.
+``integrate_finite``, at the one relative tolerance ``REL_TOL``, fine enough
+for the high-SNR gap formulas, checked to 1e-10. The survival tables, the
+Newton iteration and the maximizer are implemented here: root finding and
+maximization use no scipy and have no derivative-free path.
 
 A ``SurvivalTable`` integrates a survival function sf = 1 - F once, on
 20-node Gauss-Legendre panels in u = log z, and keeps the sums of the
@@ -39,7 +40,9 @@ EULER_MASCHERONI = 0.5772156649015329
 
 # Absolute floor below which quadrature error is not chased further.
 ABS_TOL_FLOOR = 1e-14
-DEFAULT_REL_TOL = 1e-10
+# QUADPACK's relative tolerance, maximize_unimodal's root width in u = log x
+# and the relative drop that ends its walk along a plateau
+REL_TOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
 
@@ -108,25 +111,18 @@ class BracketError(ValueError):
     """The supplied bracket does not contain a sign change."""
 
 
-def _check_rel_tol(rel_tol: float):
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-
-
 def integrate_finite(
     f: Callable[[float], float],
     a: float,
     b: float,
-    rel_tol: float = DEFAULT_REL_TOL,
     knots: Sequence[float] = (),
 ) -> QuadResult:
-    """Integrate f over [a, b] adaptively.
+    """Integrate f over [a, b] adaptively to ``REL_TOL``.
 
     ``knots`` are interior points where the integrand may be rough
     (kinks, narrow features); subdivision is forced there. ``a == b``
     returns exactly zero.
     """
-    _check_rel_tol(rel_tol)
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     if a == b:
@@ -139,7 +135,7 @@ def integrate_finite(
         a,
         b,
         epsabs=ABS_TOL_FLOOR,
-        epsrel=rel_tol,
+        epsrel=REL_TOL,
         limit=_QUAD_LIMIT,
         points=points,
         full_output=True,
@@ -149,7 +145,7 @@ def integrate_finite(
     if len(out) > 3:
         # QUADPACK flagged trouble; accept the value only if the error
         # estimate is still within an order of the requested tolerance.
-        tolerance = max(10.0 * rel_tol * abs(value), 1e-12)
+        tolerance = max(10.0 * REL_TOL * abs(value), 1e-12)
         if abs_err > tolerance:
             raise QuadratureError(f"quadrature did not converge: {out[3]}", result)
     return result
@@ -158,7 +154,6 @@ def integrate_finite(
 def integrate_semi_infinite(
     f: Callable[[float], float],
     a: float,
-    rel_tol: float = DEFAULT_REL_TOL,
     knots: Sequence[float] = (),
 ) -> QuadResult:
     """Integrate f over [a, inf) via the transform z = a + t/(1-t).
@@ -166,7 +161,6 @@ def integrate_semi_infinite(
     The image interval is [0, 1); the integrand is treated as zero at
     the open endpoint, which is the correct limit for any integrable f.
     """
-    _check_rel_tol(rel_tol)
 
     def transformed(t: float) -> float:
         u = 1.0 - t
@@ -176,7 +170,7 @@ def integrate_semi_infinite(
         return f(z) / (u * u)
 
     mapped = [(k - a) / (1.0 + (k - a)) for k in knots if k > a]
-    return integrate_finite(transformed, 0.0, 1.0, rel_tol, knots=mapped)
+    return integrate_finite(transformed, 0.0, 1.0, knots=mapped)
 
 
 def _sum_from_top(panels: np.ndarray) -> np.ndarray:
@@ -452,37 +446,37 @@ def find_root_monotone(
 def maximize_unimodal(
     h: Callable[[float], float],
     bracket: Bracket,
-    tol: float = 1e-8,
     *,
     foc: Callable[[float], float],
     dfoc: Callable[[float], float],
-) -> tuple[float, float]:
-    """Maximize a (nominally unimodal) h on a positive bracket.
+) -> float:
+    """Argmax of a (nominally unimodal) h on a positive bracket.
 
-    A pre-scan of ``_MAXIMIZE_GRID`` log-spaced points guards against mild
-    non-unimodality, and the first of equal grid values wins. Where
-    ``foc(u)``, of the sign of dh/du at x = e^u, falls through zero across
-    the best grid cell in u = log x, ``find_root_monotone`` with its
-    derivative ``dfoc`` refines the point to a width ``tol`` in u, and the
-    root replaces it only when h is strictly larger there. ValueError
-    unless ``bracket.lo > 0``.
-
-    Returns ``(argmax, max)`` with ``max`` at least the value of h at
-    both bracket ends.
+    h is read at ``_MAXIMIZE_GRID`` log-spaced points, in order; the first
+    of equal values is the best. ``foc(u)`` has the sign of dh/du at
+    x = e^u. From the best point the search steps on while the next
+    point's h is within ``REL_TOL`` (relative) of the best and ``foc``
+    there points onward, right first: it leaves a plateau flat to h's last
+    bit and stops at a real dip. Where ``foc`` falls through zero across
+    the cells around the point reached, it returns the root in u = log x,
+    to a width ``REL_TOL``, by ``find_root_monotone`` with ``dfoc``, and
+    otherwise the grid point. ValueError unless ``bracket.lo > 0``.
     """
     lo, hi = bracket.lo, bracket.hi
     if not lo > 0.0:
         raise ValueError(f"the bracket must be positive, got [{lo}, {hi}]")
     grid = np.geomspace(lo, hi, _MAXIMIZE_GRID)
+    u = [math.log(x) for x in grid]
     values = [h(float(x)) for x in grid]
-    best = int(np.argmax(values))
-    best_x, best_val = float(grid[best]), float(values[best])
-
-    u_lo = math.log(grid[max(best - 1, 0)])
-    u_hi = math.log(grid[min(best + 1, _MAXIMIZE_GRID - 1)])
-    # written so that a NaN refines nothing
+    best = j = int(np.argmax(values))
+    floor = values[best] - REL_TOL * abs(values[best])
+    # written so that a NaN walks and refines nothing
+    while j + 1 < _MAXIMIZE_GRID and values[j + 1] >= floor and foc(u[j + 1]) > 0.0:
+        j += 1
+    if j == best:
+        while j > 0 and values[j - 1] >= floor and foc(u[j - 1]) < 0.0:
+            j -= 1
+    u_lo, u_hi = u[max(j - 1, 0)], u[min(j + 1, _MAXIMIZE_GRID - 1)]
     if foc(u_lo) > 0.0 > foc(u_hi):
-        x = math.exp(find_root_monotone(foc, Bracket(u_lo, u_hi), tol, dg=dfoc))
-        if (value := h(x)) > best_val:
-            best_x, best_val = x, value
-    return best_x, float(best_val)
+        return math.exp(find_root_monotone(foc, Bracket(u_lo, u_hi), REL_TOL, dg=dfoc))
+    return float(grid[j])

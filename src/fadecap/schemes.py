@@ -57,7 +57,7 @@ class ThresholdSolution:
 
     z_t: float
     residual: float
-    # cutoffs integrated (oa_threshold) or capacities computed (tci_optimize)
+    # cutoffs integrated (oa_threshold) or grid capacities (tci_optimize)
     iterations: int
     capacity_nats: float
 
@@ -82,14 +82,6 @@ def awgn_capacity(dist: FadingDistribution, S: float) -> CapacityResult:
     """Reference capacity of a non-fading link at the same average SNR."""
     _check_power(S)
     return CapacityResult(Scheme.AWGN, S, math.log1p(S * dist.mean))
-
-
-def _oa_power_integral(dist: FadingDistribution, S: float, z_t: float) -> tuple[float, float]:
-    """(E[D], C) for water-filling with cutoff z_t: P(z_t) / S, the unit
-    constraint's LHS, and the capacity C(z_t), both from one read of the
-    law's survival table."""
-    P, C = dist.survival_table.tails(z_t)
-    return P / S, C
 
 
 def oa_threshold(dist: FadingDistribution, S: float) -> ThresholdSolution:
@@ -121,7 +113,8 @@ def oa_threshold(dist: FadingDistribution, S: float) -> ThresholdSolution:
 
     def power(u: float) -> float:
         if u not in known:
-            known[u] = _oa_power_integral(dist, S, math.exp(u))
+            P, C = table.tails(math.exp(u))
+            known[u] = (P / S, C)
         return known[u][0]
 
     def psi(u: float) -> float:
@@ -238,12 +231,13 @@ def tci_optimize(dist: FadingDistribution, S: float) -> tuple[ThresholdSolution,
     """Best fixed threshold for truncated inversion at power S.
 
     ``maximize_unimodal`` over ``_default_threshold_bracket``: a log-spaced
-    grid scan, then a Newton root in u = log z_t, inside the best grid cell,
-    of the first-order condition sf S / (T (T + S)) = z_t log(1 + S/T)
-    (Goldsmith & Varaiya 1997), dC/du over the density, with its derivative
-    from sf' = -p and dT/du = -p. Each Newton point integrates T once; every
-    grid cell end passed ``_tci_tail``, so T > 0 on the cell. The smallest
-    threshold wins a tie, as in ``maximize_unimodal``.
+    grid scan, then a Newton root in u = log z_t, near the best grid point
+    or past a plateau along which it still rises, of the first-order
+    condition sf S / (T (T + S)) = z_t log(1 + S/T) (Goldsmith & Varaiya
+    1997), dC/du over the density, with its derivative from sf' = -p and
+    dT/du = -p. Each Newton point integrates T once; every grid point
+    passed ``_tci_tail``, so T > 0 there. ``iterations`` counts the grid's
+    capacities; the optimum's is computed once, after the search.
     """
     _check_power(S)
     bracket = _default_threshold_bracket(dist)
@@ -270,7 +264,7 @@ def tci_optimize(dist: FadingDistribution, S: float) -> tuple[ThresholdSolution,
         return (float(dist.pdf(z_t)) * S * (sf * (2.0 * T + S) - 2.0 * z_t * q) / q / q
                 - z_t * math.log1p(S / T))
 
-    z_star, _ = maximize_unimodal(objective, bracket, tol=1e-12, foc=foc, dfoc=dfoc)
+    z_star = maximize_unimodal(objective, bracket, foc=foc, dfoc=dfoc)
     result = tci_capacity(dist, S, z_star)
     solution = ThresholdSolution(
         z_t=z_star,

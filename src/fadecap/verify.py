@@ -22,6 +22,9 @@ RESIDUAL_TOL = 1e-8
 # the powers at which the pre-log and slope checks read the capacities
 S_HI = 1e6
 S_LO = 1e-6
+# the powers and sample count of the residual and Monte-Carlo checks
+POWERS = (0.1, 1.0, 10.0, 100.0)
+MC_SAMPLES = 200_000
 
 
 @dataclass(frozen=True)
@@ -61,10 +64,10 @@ def check_ordering_chain(dist: FadingDistribution, snr_grid_db) -> list[CheckRes
     ]
 
 
-def check_power_residuals(dist: FadingDistribution, powers=(0.1, 1.0, 10.0, 100.0)) -> list[CheckResult]:
+def check_power_residuals(dist: FadingDistribution) -> list[CheckResult]:
     z_t = _chain_threshold(dist)
     worst = 0.0
-    for S in powers:
+    for S in POWERS:
         residuals = [schemes.oa_threshold(dist, S).residual]
         residuals.append(schemes.tci_capacity(dist, S, z_t).power_constraint_residual)
         residuals.append(schemes.ctci_capacity(dist, S, z_t).power_constraint_residual)
@@ -83,13 +86,15 @@ def check_prelogs(dist: FadingDistribution) -> list[CheckResult]:
 
     TCI's X is 1/T(z_t) above the cutoff, with pre-log sf(z_t), and CTCI's
     is D_max min(z, z_t), whose log has mean E[log z] - E[log(z/z_t); z > z_t].
+    Where E[1/z] is infinite, CI's X is 0 and its capacity lies in [0, 0].
     """
     z_t = _chain_threshold(dist)
     inv, sf = dist.inverse_mean, float(dist.sf(z_t))
     T, d = dist.tail_inverse_integral(z_t), schemes.ctci_dmax(dist, z_t)
     cases = [
         (Scheme.RA, 1.0, dist.log_mean, inv),
-        (Scheme.CI, 1.0, -math.log(inv), inv),
+        (Scheme.CI, 1.0, -math.log(inv), inv) if dist.inverse_mean_finite
+        else (Scheme.CI, 0.0, 0.0, 0.0),
         (Scheme.CTCI, 1.0, math.log(d) + dist.log_mean - dist.survival_table.tails(z_t)[1],
          (inv - T + sf / z_t) / d),
         (Scheme.TCI, sf, -sf * math.log(T), sf * T),
@@ -128,20 +133,15 @@ def check_slopes(dist: FadingDistribution) -> list[CheckResult]:
     return results
 
 
-def check_mc(
-    dist: FadingDistribution,
-    powers=(0.1, 1.0, 10.0, 100.0),
-    n_samples: int = 200_000,
-    seed: int = 0,
-) -> list[CheckResult]:
+def check_mc(dist: FadingDistribution, seed: int = 0) -> list[CheckResult]:
     """Quadrature capacities against Monte-Carlo at 3 standard errors."""
     z_t = _chain_threshold(dist)
     results = []
     for scheme in (Scheme.OA, Scheme.RA, Scheme.CI, Scheme.TCI, Scheme.CTCI):
         worst = 0.0
         ok = True
-        for S in powers:
-            est = mc.mc_capacity(dist, scheme, S, z_t=z_t, n_samples=n_samples, seed=seed)
+        for S in POWERS:
+            est = mc.mc_capacity(dist, scheme, S, z_t=z_t, n_samples=MC_SAMPLES, seed=seed)
             exact = schemes.capacity(dist, scheme, S, z_t=z_t).capacity_nats
             band = 3.0 * est.std_error + 1e-12
             dev = abs(est.mean_nats - exact)

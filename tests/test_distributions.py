@@ -101,7 +101,7 @@ class TestMaxExponential:
         d = make_max_exponential(2)
         assert d.inverse_mean == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
         # quadrature agrees with the closed form
-        quad = integrate_semi_infinite(lambda z: d.pdf(z) / z, 0.0, 1e-12, d.quad_knots)
+        quad = integrate_semi_infinite(lambda z: d.pdf(z) / z, 0.0, d.quad_knots)
         assert quad.value == pytest.approx(d.inverse_mean, rel=1e-10)
 
     def test_k1_is_plain_exponential(self):
@@ -132,14 +132,14 @@ class TestFrechet:
     def test_inverse_mean_alpha2(self):
         d = make_frechet(2.0, 1)
         assert d.inverse_mean == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-12)
-        quad = integrate_semi_infinite(lambda z: d.pdf(z) / z, 0.0, 1e-12, d.quad_knots)
+        quad = integrate_semi_infinite(lambda z: d.pdf(z) / z, 0.0, d.quad_knots)
         assert quad.value == pytest.approx(d.inverse_mean, rel=1e-9)
 
     def test_log_mean_alpha2(self):
         d = make_frechet(2.0, 1)
         assert d.log_mean == pytest.approx(GAMMA_EM / 2.0, abs=1e-12)
         quad = integrate_semi_infinite(
-            lambda z: math.log(z) * d.pdf(z), 0.0, 1e-12, d.quad_knots
+            lambda z: math.log(z) * d.pdf(z), 0.0, d.quad_knots
         )
         assert quad.value == pytest.approx(d.log_mean, rel=1e-9)
 
@@ -655,7 +655,7 @@ class TestSharedInvariants:
                 a, b = np.sort(rng.uniform(0.05, 6.0, size=2))
                 if b - a < 1e-3:
                     continue
-                mass = d.expect(lo=a, hi=b, rel_tol=1e-12)
+                mass = d.expect(lo=a, hi=b)
                 increment = float(d.cdf(b) - d.cdf(a))
                 assert mass == pytest.approx(increment, abs=1e-8), d.name
 

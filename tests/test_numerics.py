@@ -8,6 +8,7 @@ import pytest
 from scipy import special
 
 from fadecap.numerics import (
+    REL_TOL,
     Bracket,
     BracketError,
     QuadratureError,
@@ -56,10 +57,6 @@ class TestSemiInfiniteQuadrature:
         assert isinstance(excinfo.value.partial, QuadResult)
         assert math.isfinite(excinfo.value.partial.value)
 
-    def test_bad_rel_tol(self):
-        with pytest.raises(ValueError):
-            integrate_semi_infinite(lambda z: math.exp(-z), 0.0, rel_tol=0.0)
-
 
 class TestFiniteQuadrature:
     def test_constant(self):
@@ -83,21 +80,17 @@ class TestFiniteQuadrature:
     def test_linearity_property(self):
         # integrate(a f + b g) = a integrate(f) + b integrate(g)
         rng = np.random.default_rng(42)
-        rel_tol = 1e-10
         for _ in range(10):
             c = rng.normal(size=4)
             a, b = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
             f = lambda z: c[0] * math.sin(z) + c[1] * z * z
             g = lambda z: c[2] * math.exp(-z) + c[3] * math.cos(2 * z)
-            combined = integrate_finite(
-                lambda z: a * f(z) + b * g(z), 0.0, 3.0, rel_tol
-            ).value
+            combined = integrate_finite(lambda z: a * f(z) + b * g(z), 0.0, 3.0).value
             separate = (
-                a * integrate_finite(f, 0.0, 3.0, rel_tol).value
-                + b * integrate_finite(g, 0.0, 3.0, rel_tol).value
+                a * integrate_finite(f, 0.0, 3.0).value + b * integrate_finite(g, 0.0, 3.0).value
             )
             scale = max(1.0, abs(combined))
-            assert abs(combined - separate) <= 10.0 * rel_tol * scale
+            assert abs(combined - separate) <= 10.0 * REL_TOL * scale
 
 
 class TestRootFinding:
@@ -239,28 +232,29 @@ class TestMaximizeUnimodal:
     # foc(u) has the sign of dh/du at x = e^u, and dfoc is its derivative in u
 
     def test_parabola(self):
-        x, v = maximize_unimodal(lambda x: -((x - 3.0) ** 2), Bracket(0.1, 10.0), tol=1e-10,
-                                 foc=lambda u: -2.0 * math.exp(u) * (math.exp(u) - 3.0),
-                                 dfoc=lambda u: math.exp(u) * (6.0 - 4.0 * math.exp(u)))
+        h = lambda x: -((x - 3.0) ** 2)
+        x = maximize_unimodal(h, Bracket(0.1, 10.0),
+                              foc=lambda u: -2.0 * math.exp(u) * (math.exp(u) - 3.0),
+                              dfoc=lambda u: math.exp(u) * (6.0 - 4.0 * math.exp(u)))
         assert x == pytest.approx(3.0, abs=1e-9)
-        assert v == pytest.approx(0.0, abs=1e-18)
+        assert h(x) == pytest.approx(0.0, abs=1e-18)
 
     def test_x_exp_minus_x(self):
-        x, _ = maximize_unimodal(lambda x: x * math.exp(-x), Bracket(1e-3, 10.0), tol=1e-10,
-                                 foc=lambda u: 1.0 - math.exp(u), dfoc=lambda u: -math.exp(u))
+        x = maximize_unimodal(lambda x: x * math.exp(-x), Bracket(1e-3, 10.0),
+                              foc=lambda u: 1.0 - math.exp(u), dfoc=lambda u: -math.exp(u))
         assert x == pytest.approx(1.0, abs=1e-9)
 
     def test_value_dominates_bracket_ends(self):
         h = lambda x: math.sin(x)
-        x, v = maximize_unimodal(h, Bracket(0.5, 3.0), foc=lambda u: math.cos(math.exp(u)),
-                                 dfoc=lambda u: -math.exp(u) * math.sin(math.exp(u)))
-        assert v >= h(0.5) and v >= h(3.0)
+        x = maximize_unimodal(h, Bracket(0.5, 3.0), foc=lambda u: math.cos(math.exp(u)),
+                              dfoc=lambda u: -math.exp(u) * math.sin(math.exp(u)))
+        assert h(x) >= h(0.5) and h(x) >= h(3.0)
         assert x == pytest.approx(math.pi / 2, rel=1e-7)
 
     def test_log_bracket(self):
         h = lambda x: -((math.log(x) - math.log(0.01)) ** 2)
-        x, _ = maximize_unimodal(h, Bracket(1e-6, 1e2), tol=1e-10,
-                                 foc=lambda u: -(u - math.log(0.01)), dfoc=lambda u: -1.0)
+        x = maximize_unimodal(h, Bracket(1e-6, 1e2),
+                              foc=lambda u: -(u - math.log(0.01)), dfoc=lambda u: -1.0)
         assert x == pytest.approx(0.01, rel=1e-9)
 
     @pytest.mark.parametrize("lo", [1e-3, 0.25])
@@ -269,14 +263,48 @@ class TestMaximizeUnimodal:
         # 0: it does not fall through zero, so the first grid point on the
         # plateau is returned
         grid = np.geomspace(lo, 3.0, 64)
-        x, v = maximize_unimodal(lambda x: min(x, 1.0), Bracket(lo, 3.0),
-                                 foc=lambda u: 1.0 if u < 0.0 else 0.0, dfoc=lambda u: 0.0)
-        assert (x, v) == (float(grid[grid >= 1.0][0]), 1.0)
+        x = maximize_unimodal(lambda x: min(x, 1.0), Bracket(lo, 3.0),
+                              foc=lambda u: 1.0 if u < 0.0 else 0.0, dfoc=lambda u: 0.0)
+        assert x == float(grid[grid >= 1.0][0])
+
+    def test_follows_a_rising_first_order_condition_off_a_plateau(self):
+        # h rises to u = 30.3 by less than its last bit, so every grid value
+        # ties and the first grid point is the best; foc still rises there,
+        # and the walk along the plateau reaches the root's cell
+        x = maximize_unimodal(lambda x: 1.0 - 1e-20 * (math.log(x) - 30.3) ** 2,
+                              Bracket(1.0, math.exp(63.0)),
+                              foc=lambda u: 30.3 - u, dfoc=lambda u: -1.0)
+        assert x == pytest.approx(math.exp(30.3), rel=1e-11)
+
+    def test_a_dip_inside_a_grid_cell_keeps_the_first_hump(self):
+        # in u = log x a narrow hump at 10.05 is followed, inside the grid
+        # cell (10, 11), by a dip and then by a lower, wider hump at 12.5.
+        # The grid point after the dip lies on the second hump's rising
+        # side, where foc > 0, but far below the best: the walk stops at the
+        # first hump's grid point instead of climbing the second
+        humps = ((1.0, 10.05, 0.2), (0.5, 12.5, 1.0))
+
+        def parts(u):
+            return [(c * math.exp(-(((u - m) / w) ** 2)), m, w) for c, m, w in humps]
+
+        def h(x):
+            return sum(g for g, _, _ in parts(math.log(x)))
+
+        def foc(u):
+            return sum(-2.0 * g * (u - m) / w ** 2 for g, m, w in parts(u))
+
+        def dfoc(u):
+            return sum(g * (4.0 * (u - m) ** 2 / w ** 4 - 2.0 / w ** 2) for g, m, w in parts(u))
+
+        grid = np.geomspace(1.0, math.exp(63.0), 64)
+        assert foc(math.log(grid[11])) > 0.0 and h(grid[11]) < 0.1 * h(grid[10])
+        x = maximize_unimodal(h, Bracket(1.0, math.exp(63.0)), foc=foc, dfoc=dfoc)
+        assert x == float(grid[10])
 
     def test_nan_first_order_condition_keeps_the_grid_point(self):
         grid = np.geomspace(0.1, 10.0, 64)
-        x, _ = maximize_unimodal(lambda x: -((x - 3.0) ** 2), Bracket(0.1, 10.0),
-                                 foc=lambda u: math.nan, dfoc=lambda u: math.nan)
+        x = maximize_unimodal(lambda x: -((x - 3.0) ** 2), Bracket(0.1, 10.0),
+                              foc=lambda u: math.nan, dfoc=lambda u: math.nan)
         assert x == float(grid[np.argmin(np.abs(grid - 3.0))])
 
     @pytest.mark.parametrize("lo", [0.0, -1.0])

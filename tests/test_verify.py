@@ -50,6 +50,19 @@ def test_a_capacity_off_its_bounds_fails_its_check(monkeypatch, kernel, change, 
     assert not results[check].passed, results[check]
 
 
+def test_a_ci_capacity_where_inversion_is_degenerate_fails_its_pre_log(monkeypatch):
+    # E[1/z] is infinite on gamma:N=1, so CI's X is 0: no pre-log, and its
+    # capacity is bounded by [0, 0]
+    original = schemes.ci_capacity
+
+    def mutated(dist, S):
+        return dataclasses.replace(original(dist, S), capacity_nats=1e-3)
+
+    monkeypatch.setattr(schemes, "ci_capacity", mutated)
+    results = {r.name: r for r in run_checks(make_gamma_diversity(1), level="fast")}
+    assert not results["prelog_ci"].passed, results["prelog_ci"]
+
+
 def test_full_level_includes_mc_checks():
     results = run_checks(make_max_exponential(2), level="full", seed=0)
     names = {r.name for r in results}
