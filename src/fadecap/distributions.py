@@ -280,6 +280,11 @@ class FadingDistribution:
             raise ValueError(f"scale must be finite and positive, got {c}")
         base = self
 
+        def unscaled(z):
+            # at a tiny c, z / c overflows to inf, where the base law takes its limits
+            with np.errstate(over="ignore"):
+                return np.asarray(z, dtype=float) / c
+
         def scaled_sampler(rng, n):
             # every sampler returns a fresh array, so it is scaled in place
             z = base.sampler(rng, n)
@@ -288,9 +293,9 @@ class FadingDistribution:
 
         return FadingDistribution(
             name=f"scaled({c})*{base.name}",
-            pdf=lambda z: base.pdf(np.asarray(z, dtype=float) / c) / c,
-            cdf=lambda z: base.cdf(np.asarray(z, dtype=float) / c),
-            sf=lambda z: base.sf(np.asarray(z, dtype=float) / c),
+            pdf=lambda z: base.pdf(unscaled(z)) / c,
+            cdf=lambda z: base.cdf(unscaled(z)),
+            sf=lambda z: base.sf(unscaled(z)),
             mean=c * base.mean,
             inverse_mean=base.inverse_mean / c,
             log_mean=base.log_mean + math.log(c),

@@ -22,8 +22,14 @@ the OA constraint E[(1/z_t - 1/z)+], the OA capacity E[log(z/z_t); z > z_t],
 the RA capacity E[log(1 + S z)] and the CTCI capacity
 E[log(1 + a min(z, z_t))] need only the survival function 1 - F, so no
 capacity evaluates the density. OA's cutoff solve returns the capacity at
-its cutoff with it. TCI takes its power ratio from the tail functional T
-and CTCI from F and T; CTCI's, F(z_t) + z_t T(z_t), is ``_ctci_power``.
+its cutoff with it. TCI takes its power ratio D_max from the tail
+functional T and CTCI from F and T, each in one function that also
+checks the threshold: ``tci_dmax`` and ``ctci_dmax``.
+
+Only OA, the one scheme that solves its power constraint, carries a
+residual: its Newton solve's E[D] - 1. TCI's and CTCI's D_max meet
+E[D] = 1 by definition, so their residual is None, as RA's and CI's is;
+``verify.check_power_residuals`` recomputes their E[D] by another route.
 """
 
 from __future__ import annotations
@@ -48,15 +54,16 @@ class Scheme(str, Enum):
 
 @dataclass(frozen=True)
 class ThresholdSolution:
-    """Solved cutoff with the residual of its defining power constraint.
+    """Solved cutoff with the scheme's capacity there.
 
-    ``capacity_nats`` is the scheme's capacity at the cutoff, which the
-    solve computes on the way: OA's from the survival table at the returned
-    cutoff, TCI's at the optimized threshold.
+    ``residual`` is OA's E[D] - 1 at its solved cutoff, and None for an
+    optimized TCI threshold, whose D_max meets the constraint by definition.
+    ``capacity_nats`` is computed on the way: OA's from the survival table
+    at the returned cutoff, TCI's at the optimized threshold.
     """
 
     z_t: float
-    residual: float
+    residual: Optional[float]
     # cutoffs integrated (oa_threshold) or grid capacities (tci_optimize)
     iterations: int
     capacity_nats: float
@@ -69,6 +76,7 @@ class CapacityResult:
     capacity_nats: float
     threshold_z_t: Optional[float] = None
     d_max: Optional[float] = None
+    # OA's solved E[D] - 1; None for the schemes that solve no constraint
     power_constraint_residual: Optional[float] = None
     degenerate: bool = False
 
@@ -170,42 +178,30 @@ def ci_capacity(dist: FadingDistribution, S: float) -> CapacityResult:
     return CapacityResult(Scheme.CI, S, math.log1p(S / dist.inverse_mean))
 
 
-def _tci_tail(dist: FadingDistribution, z_t: float) -> float:
-    """T(z_t) at a TCI cutoff; ValueError unless channel mass survives it."""
+def tci_dmax(dist: FadingDistribution, z_t: float) -> float:
+    """Peak power ratio of truncated inversion at cutoff z_t: 1 / (z_t T(z_t)).
+
+    It sets the average power D_max z_t T(z_t) to 1 exactly, so there is no
+    residual. Always exceeds 1: the power saved while silent below the
+    cutoff is spent above it. Independent of S. ValueError unless z_t lies
+    inside the support with channel mass above it.
+    """
     if not 0.0 < z_t < dist.support_sup:
         raise ValueError(
             f"threshold must lie inside the support (0, {dist.support_sup}), got {z_t}"
         )
-    tail = dist.tail_inverse_integral(z_t)
-    if z_t * tail <= 0.0:
+    power = z_t * dist.tail_inverse_integral(z_t)
+    if power <= 0.0:
         raise ValueError(f"no channel mass above threshold {z_t}")
-    return tail
-
-
-def tci_dmax(dist: FadingDistribution, z_t: float) -> float:
-    """Peak power ratio of truncated inversion at cutoff z_t.
-
-    Always exceeds 1: the power saved while silent below the cutoff is
-    spent above it. Independent of S.
-    """
-    return 1.0 / (z_t * _tci_tail(dist, z_t))
+    return 1.0 / power
 
 
 def tci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityResult:
     """Truncated inversion: sf(z_t) log(1 + S D_max z_t), with sf = 1 - F."""
     _check_power(S)
-    tail = _tci_tail(dist, z_t)
-    d_max = 1.0 / (z_t * tail)
+    d_max = tci_dmax(dist, z_t)
     cap = float(dist.sf(z_t)) * math.log1p(S * d_max * z_t)
-    residual = d_max * z_t * tail - 1.0
-    return CapacityResult(
-        Scheme.TCI,
-        S,
-        cap,
-        threshold_z_t=z_t,
-        d_max=d_max,
-        power_constraint_residual=residual,
-    )
+    return CapacityResult(Scheme.TCI, S, cap, threshold_z_t=z_t, d_max=d_max)
 
 
 def _default_threshold_bracket(dist: FadingDistribution) -> Bracket:
@@ -236,7 +232,7 @@ def tci_optimize(dist: FadingDistribution, S: float) -> tuple[ThresholdSolution,
     condition sf S / (T (T + S)) = z_t log(1 + S/T) (Goldsmith & Varaiya
     1997), dC/du over the density, with its derivative from sf' = -p and
     dT/du = -p. Each Newton point integrates T once; every grid point
-    passed ``_tci_tail``, so T > 0 there. ``iterations`` counts the grid's
+    passed ``tci_dmax``, so T > 0 there. ``iterations`` counts the grid's
     capacities; the optimum's is computed once, after the search.
     """
     _check_power(S)
@@ -267,35 +263,26 @@ def tci_optimize(dist: FadingDistribution, S: float) -> tuple[ThresholdSolution,
     z_star = maximize_unimodal(objective, bracket, foc=foc, dfoc=dfoc)
     result = tci_capacity(dist, S, z_star)
     solution = ThresholdSolution(
-        z_t=z_star,
-        residual=result.power_constraint_residual,
-        iterations=evals[0],
-        capacity_nats=result.capacity_nats,
+        z_t=z_star, residual=None, iterations=evals[0], capacity_nats=result.capacity_nats
     )
     return solution, result
-
-
-def _ctci_power(dist: FadingDistribution, z_t: float) -> float:
-    """F(z_t) + z_t T(z_t), the average power of continuous truncated
-    inversion at unit power ratio, so 1/D_max; 0 at z_t = 0. ValueError
-    unless z_t is finite and nonnegative."""
-    if not 0.0 <= z_t < math.inf:
-        raise ValueError(f"threshold must be finite and nonnegative, got {z_t}")
-    if z_t == 0.0:
-        return 0.0
-    return float(dist.cdf(z_t)) + z_t * dist.tail_inverse_integral(z_t)
 
 
 def ctci_dmax(dist: FadingDistribution, z_t: float) -> float:
     """Power ratio of continuous truncated inversion at cutoff z_t:
     1 / (F(z_t) + z_t T(z_t)).
 
+    It sets the average power to 1 exactly, so there is no residual.
     Lies in [1, inf); the threshold-0 limit is degenerate (infinite
     ratio applied to a vanishing gain, recovering plain inversion) and
-    the infinite-threshold limit is 1 (constant power).
+    the infinite-threshold limit is 1 (constant power). ValueError unless
+    z_t is finite and nonnegative.
     """
-    power = _ctci_power(dist, z_t)
-    return 1.0 / power if z_t > 0.0 else math.inf
+    if not 0.0 <= z_t < math.inf:
+        raise ValueError(f"threshold must be finite and nonnegative, got {z_t}")
+    if z_t == 0.0:
+        return math.inf
+    return 1.0 / (float(dist.cdf(z_t)) + z_t * dist.tail_inverse_integral(z_t))
 
 
 def ctci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityResult:
@@ -308,24 +295,11 @@ def ctci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityRes
     exactly: at 0 the result is CI's, relabelled, with an infinite D_max.
     """
     _check_power(S)
-    power = _ctci_power(dist, z_t)
+    d_max = ctci_dmax(dist, z_t)
     if z_t == 0.0:
-        residual = None
-        if dist.inverse_mean_finite:
-            residual = dist.tail_inverse_integral(0.0) / dist.inverse_mean - 1.0
-        return replace(ci_capacity(dist, S), scheme=Scheme.CTCI, threshold_z_t=0.0,
-                       d_max=math.inf, power_constraint_residual=residual)
-    d_max = 1.0 / power
+        return replace(ci_capacity(dist, S), scheme=Scheme.CTCI, threshold_z_t=0.0, d_max=d_max)
     cap = dist.survival_table.log1p_expectation(S * d_max, cap=z_t)
-    residual = d_max * power - 1.0
-    return CapacityResult(
-        Scheme.CTCI,
-        S,
-        cap,
-        threshold_z_t=z_t,
-        d_max=d_max,
-        power_constraint_residual=residual,
-    )
+    return CapacityResult(Scheme.CTCI, S, cap, threshold_z_t=z_t, d_max=d_max)
 
 
 def capacity(

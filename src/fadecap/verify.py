@@ -22,7 +22,8 @@ RESIDUAL_TOL = 1e-8
 # the powers at which the pre-log and slope checks read the capacities
 S_HI = 1e6
 S_LO = 1e-6
-# the powers and sample count of the residual and Monte-Carlo checks
+# the OA powers of the residual check and the powers and sample count of
+# the Monte-Carlo check
 POWERS = (0.1, 1.0, 10.0, 100.0)
 MC_SAMPLES = 200_000
 
@@ -35,9 +36,9 @@ class CheckResult:
 
 
 def _chain_threshold(dist: FadingDistribution) -> float:
-    if math.isfinite(dist.support_sup):
-        return min(1.0, 0.5 * dist.support_sup)
-    return 1.0
+    """The law's geometric mean exp(E[log z]), capped at half a finite
+    support top: a threshold with channel mass on both sides at any scale."""
+    return min(math.exp(dist.log_mean), 0.5 * dist.support_sup)
 
 
 def check_ordering_chain(dist: FadingDistribution, snr_grid_db) -> list[CheckResult]:
@@ -65,13 +66,21 @@ def check_ordering_chain(dist: FadingDistribution, snr_grid_db) -> list[CheckRes
 
 
 def check_power_residuals(dist: FadingDistribution) -> list[CheckResult]:
+    """|E[D] - 1| of OA's solved cutoff at ``POWERS``, and of TCI and CTCI
+    at the chain threshold.
+
+    OA's is its cutoff solve's residual. TCI's and CTCI's D_max meet the
+    constraint by definition, so their E[D] is recomputed with
+    T(z_t) = sf(z_t)/z_t - P(z_t), P from the survival table: a route that
+    shares nothing with the T (closed form or QUADPACK) and the F that set
+    D_max. E[D] is then tci_dmax (sf - z_t P) and ctci_dmax (1 - z_t P).
+    """
     z_t = _chain_threshold(dist)
-    worst = 0.0
-    for S in POWERS:
-        residuals = [schemes.oa_threshold(dist, S).residual]
-        residuals.append(schemes.tci_capacity(dist, S, z_t).power_constraint_residual)
-        residuals.append(schemes.ctci_capacity(dist, S, z_t).power_constraint_residual)
-        worst = max(worst, max(abs(r) for r in residuals))
+    zP = z_t * dist.survival_table.tails(z_t)[0]
+    residuals = [schemes.oa_threshold(dist, S).residual for S in POWERS]
+    residuals.append(schemes.tci_dmax(dist, z_t) * (float(dist.sf(z_t)) - zP) - 1.0)
+    residuals.append(schemes.ctci_dmax(dist, z_t) * (1.0 - zP) - 1.0)
+    worst = max(abs(r) for r in residuals)
     return [CheckResult("power_residuals", worst <= RESIDUAL_TOL, f"max |E[D]-1| = {worst:.2e}")]
 
 

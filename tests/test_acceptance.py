@@ -404,22 +404,30 @@ def test_criterion_10_monte_carlo_cross_validation(gamma2, miso22):
     )
 
 
+def _table_route_power(dist, z_t, d_max, scheme):
+    """E[D] of TCI or CTCI at power ratio d_max, with z_t T(z_t) read as
+    sf(z_t) - z_t P(z_t) from the survival table's P(z) = E[(1/z - 1/Z)+]:
+    not the T and F that set d_max."""
+    zP = z_t * dist.survival_table.tails(z_t)[0]
+    return d_max * (float(dist.sf(z_t)) - zP if scheme is Scheme.TCI else 1.0 - zP)
+
+
 def test_criterion_11_power_constraint_residuals(gamma2, maxexp4, miso22):
+    # OA's residual is its cutoff solve's; TCI's and CTCI's D_max meet the
+    # constraint by definition, so their E[D] is read by another route
     worst = 0.0
     z_t = 1.0
     for dist in (gamma2, maxexp4, miso22):
         for db in np.linspace(-20.0, 40.0, 13):
             S = 10.0 ** (db / 10.0)
             worst = max(worst, abs(oa_threshold(dist, S).residual))
-            worst = max(
-                worst, abs(tci_capacity(dist, S, z_t).power_constraint_residual)
-            )
-            worst = max(
-                worst, abs(ctci_capacity(dist, S, z_t).power_constraint_residual)
-            )
+            for scheme, fn in ((Scheme.TCI, tci_capacity), (Scheme.CTCI, ctci_capacity)):
+                d_max = fn(dist, S, z_t).d_max
+                worst = max(worst, abs(_table_route_power(dist, z_t, d_max, scheme) - 1.0))
     for dist in (make_miso_multiuser(1, 4), miso22):
         for db in (0, 10, 20, 30):
-            solution, _ = tci_optimize(dist, 10.0 ** (db / 10.0))
-            worst = max(worst, abs(solution.residual))
+            solution, result = tci_optimize(dist, 10.0 ** (db / 10.0))
+            power = _table_route_power(dist, solution.z_t, result.d_max, Scheme.TCI)
+            worst = max(worst, abs(power - 1.0))
     ok = worst <= 1e-8
     assert report(11, ok, f"max |E[D]-1| = {worst:.2e}")

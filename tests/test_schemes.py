@@ -264,6 +264,23 @@ class TestOaCutoffSolve:
             assert 0.0 < solution.z_t < 1.0 / S
 
 
+@pytest.mark.parametrize("c", [10.0 ** -k for k in range(5, 13)])
+def test_tiny_scales_build_and_keep_ra_and_oa(gamma2, c):
+    # the survival table scans the scaled law up to e^700, where z / c
+    # overflows to inf; the base law's sf takes its limit there, and under
+    # the suite's error::RuntimeWarning a warning would fail the build. The
+    # law of c z at power S / c has the capacities of z at S. Worst measured:
+    # RA 3.4e-16; OA 2.5e-14 (at -50 dB, where the cutoff lies deep in the
+    # tail and the table's panels fall elsewhere on the scaled law) and
+    # 1.7e-15 from 0 dB up
+    law = gamma2.scaled(c)
+    for db in np.arange(-60.0, 90.1, 10.0):
+        S = 10.0 ** (db / 10.0)
+        for fn, rel in ((ra_capacity, 1.5e-15), (oa_capacity, 5e-14)):
+            assert fn(law, S / c).capacity_nats == pytest.approx(
+                fn(gamma2, S).capacity_nats, rel=rel, abs=0.0), (fn.__name__, db)
+
+
 def _frechet_tails(alpha, K):
     """P(z) = E[(1/z - 1/Z)+] and C(z) = E[log(Z/z); Z > z] of the Frechet
     law, with X = K z^-alpha: P = K^(-1/alpha) [X^(1/alpha) - gamma(1/alpha, X)/alpha]
@@ -860,8 +877,9 @@ def _audited_power(dist, scheme, z_t, d_max, breaks=()):
 class TestIndependentPowerAudit:
     """E[D] = 1 for the truncated schemes, integrated by another rule.
 
-    ``power_constraint_residual`` for TCI and CTCI reuses the quadrature
-    that set d_max, so it only tests rounding.
+    TCI's and CTCI's D_max meet the constraint by definition and carry no
+    residual; multiplying D_max back by the T and F that set it would only
+    test rounding, so E[D] is integrated here from the density alone.
     """
 
     TAB_GRID = np.linspace(0.0, 8.0, 25)

@@ -6,18 +6,29 @@ import pytest
 
 from fadecap import schemes
 from fadecap.cli import parse_distribution_spec
-from fadecap.distributions import make_gamma_diversity, make_max_exponential, make_miso_multiuser
-from fadecap.verify import run_checks
+from fadecap.distributions import (
+    FadingDistribution,
+    make_gamma_diversity,
+    make_max_exponential,
+    make_miso_multiuser,
+    make_tabulated,
+)
+from fadecap.verify import check_power_residuals, run_checks
+
+import workloads  # perfbench/workloads.py; pyproject.toml puts perfbench/ on the path
 
 
 @pytest.mark.parametrize("spec", [
     "gamma:N=2", "gamma:N=1", "maxexp:K=1", "frechet:alpha=0.8", "frechet:alpha=1.01,K=8",
     "frechet:alpha=50", "miso:N=64,K=4",
+    "gamma:N=2,scale=1e-6", "maxexp:K=1,scale=1e-3", "gamma:N=2,scale=1e9",
 ])
 def test_fast_level_all_pass(spec):
     # frechet(1.01, 8) is in the heavy-tail domain: at S = 1e-6 its RA
     # capacity over S is 90, far from the slope E[z] = 787, and only a bound
-    # that holds at every S, not a limit, can pass there
+    # that holds at every S, not a limit, can pass there. The scaled laws
+    # hold no mass above 1, or nearly all of it: the checks' threshold is
+    # the law's geometric mean, not a fixed 1
     results = run_checks(parse_distribution_spec(spec).build(), level="fast")
     assert results, "no checks ran"
     failed = [r.name for r in results if not r.passed]
@@ -61,6 +72,22 @@ def test_a_ci_capacity_where_inversion_is_degenerate_fails_its_pre_log(monkeypat
     monkeypatch.setattr(schemes, "ci_capacity", mutated)
     results = {r.name: r for r in run_checks(make_gamma_diversity(1), level="fast")}
     assert not results["prelog_ci"].passed, results["prelog_ci"]
+
+
+@pytest.mark.parametrize("law", [
+    lambda: make_miso_multiuser(2, 2),
+    lambda: make_tabulated(workloads.tab_grid(3)),
+], ids=["miso22", "tab3"])
+def test_a_tail_functional_off_by_1e_6_fails_the_power_residuals(monkeypatch, law):
+    # D_max is set from T, and the check reads E[D] through the survival
+    # table's P instead: a T off by a relative 1e-6 moves D_max, not P
+    dist = law()
+    original = FadingDistribution.tail_inverse_integral
+    monkeypatch.setattr(FadingDistribution, "tail_inverse_integral",
+                        lambda self, t: original(self, t) * (1.0 + 1e-6))
+    result = check_power_residuals(dist)[0]
+    assert result.name == "power_residuals"
+    assert not result.passed, result
 
 
 def test_full_level_includes_mc_checks():
