@@ -3,8 +3,8 @@
 Adaptive quadrature on finite and semi-infinite intervals, survival-function
 tables for the integrals of a gain law, bracketed monotone root finding
 by safeguarded Newton (the caller supplies the derivative) and 1-D
-maximization on a positive, log-spaced bracket, whose grid seeds that root
-finder on a first-order condition.
+maximization on a positive, log-spaced bracket, whose grid cells bracket
+the roots of a first-order condition for that root finder.
 
 The semi-infinite case maps [a, inf) onto [0, 1) with z = a + t/(1-t),
 so exponential, power-law and extreme-value tails are all handled by the
@@ -40,8 +40,8 @@ EULER_MASCHERONI = 0.5772156649015329
 
 # Absolute floor below which quadrature error is not chased further.
 ABS_TOL_FLOOR = 1e-14
-# QUADPACK's relative tolerance, maximize_unimodal's root width in u = log x
-# and the relative drop that ends its walk along a plateau
+# QUADPACK's relative tolerance, and maximize_unimodal's root width in
+# u = log x and the margin by which a grid point must beat its best root
 REL_TOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
@@ -452,31 +452,28 @@ def maximize_unimodal(
 ) -> float:
     """Argmax of a (nominally unimodal) h on a positive bracket.
 
-    h is read at ``_MAXIMIZE_GRID`` log-spaced points, in order; the first
-    of equal values is the best. ``foc(u)`` has the sign of dh/du at
-    x = e^u. From the best point the search steps on while the next
-    point's h is within ``REL_TOL`` (relative) of the best and ``foc``
-    there points onward, right first: it leaves a plateau flat to h's last
-    bit and stops at a real dip. Where ``foc`` falls through zero across
-    the cells around the point reached, it returns the root in u = log x,
-    to a width ``REL_TOL``, by ``find_root_monotone`` with ``dfoc``, and
-    otherwise the grid point. ValueError unless ``bracket.lo > 0``.
+    h, then ``foc``, is read at ``_MAXIMIZE_GRID`` log-spaced points x in
+    order; ``foc(u)`` has the sign of dh/du at x = e^u. In each cell where
+    ``foc`` falls from > 0 to < 0, ``find_root_monotone`` with ``dfoc`` finds
+    its root in u = log x to a width ``REL_TOL``. The root with the largest
+    h is returned, unless the best grid point's h (the first of equal
+    values) beats it by more than ``REL_TOL`` relative: a hump inside one
+    cell, a maximum at an end or a NaN ``foc``. ValueError unless
+    ``bracket.lo > 0``.
     """
-    lo, hi = bracket.lo, bracket.hi
-    if not lo > 0.0:
-        raise ValueError(f"the bracket must be positive, got [{lo}, {hi}]")
-    grid = np.geomspace(lo, hi, _MAXIMIZE_GRID)
+    if not bracket.lo > 0.0:
+        raise ValueError(f"the bracket must be positive, got [{bracket.lo}, {bracket.hi}]")
+    grid = np.geomspace(bracket.lo, bracket.hi, _MAXIMIZE_GRID).tolist()
     u = [math.log(x) for x in grid]
-    values = [h(float(x)) for x in grid]
-    best = j = int(np.argmax(values))
-    floor = values[best] - REL_TOL * abs(values[best])
-    # written so that a NaN walks and refines nothing
-    while j + 1 < _MAXIMIZE_GRID and values[j + 1] >= floor and foc(u[j + 1]) > 0.0:
-        j += 1
-    if j == best:
-        while j > 0 and values[j - 1] >= floor and foc(u[j - 1]) < 0.0:
-            j -= 1
-    u_lo, u_hi = u[max(j - 1, 0)], u[min(j + 1, _MAXIMIZE_GRID - 1)]
-    if foc(u_lo) > 0.0 > foc(u_hi):
-        return math.exp(find_root_monotone(foc, Bracket(u_lo, u_hi), REL_TOL, dg=dfoc))
-    return float(grid[j])
+    values = [h(x) for x in grid]
+    signs = [foc(v) for v in u]
+    best = int(np.argmax(values))
+    roots = [math.exp(find_root_monotone(foc, Bracket(a, b), REL_TOL, dg=dfoc))
+             for a, b, fa, fb in zip(u, u[1:], signs, signs[1:]) if fa > 0.0 > fb]
+    if roots:
+        peaks = [h(x) for x in roots]
+        k = int(np.argmax(peaks))
+        # written so that a NaN h at the root keeps the grid point
+        if peaks[k] >= values[best] - REL_TOL * abs(values[best]):
+            return roots[k]
+    return grid[best]

@@ -64,7 +64,7 @@ class ThresholdSolution:
 
     z_t: float
     residual: Optional[float]
-    # cutoffs integrated (oa_threshold) or grid capacities (tci_optimize)
+    # thresholds whose tail integral was read: OA's cutoffs integrated, TCI's T
     iterations: int
     capacity_nats: float
 
@@ -178,6 +178,18 @@ def ci_capacity(dist: FadingDistribution, S: float) -> CapacityResult:
     return CapacityResult(Scheme.CI, S, math.log1p(S / dist.inverse_mean))
 
 
+def _tci_tail(dist: FadingDistribution, z_t: float) -> float:
+    """T(z_t) = E[1/z; z > z_t], with the checks ``tci_dmax`` describes."""
+    if not 0.0 < z_t < dist.support_sup:
+        raise ValueError(
+            f"threshold must lie inside the support (0, {dist.support_sup}), got {z_t}"
+        )
+    T = dist.tail_inverse_integral(z_t)
+    if T <= 0.0:
+        raise ValueError(f"no channel mass above threshold {z_t}")
+    return T
+
+
 def tci_dmax(dist: FadingDistribution, z_t: float) -> float:
     """Peak power ratio of truncated inversion at cutoff z_t: 1 / (z_t T(z_t)).
 
@@ -186,14 +198,7 @@ def tci_dmax(dist: FadingDistribution, z_t: float) -> float:
     cutoff is spent above it. Independent of S. ValueError unless z_t lies
     inside the support with channel mass above it.
     """
-    if not 0.0 < z_t < dist.support_sup:
-        raise ValueError(
-            f"threshold must lie inside the support (0, {dist.support_sup}), got {z_t}"
-        )
-    power = z_t * dist.tail_inverse_integral(z_t)
-    if power <= 0.0:
-        raise ValueError(f"no channel mass above threshold {z_t}")
-    return 1.0 / power
+    return 1.0 / (z_t * _tci_tail(dist, z_t))
 
 
 def tci_capacity(dist: FadingDistribution, S: float, z_t: float) -> CapacityResult:
@@ -227,45 +232,40 @@ def tci_optimize(dist: FadingDistribution, S: float) -> tuple[ThresholdSolution,
     """Best fixed threshold for truncated inversion at power S.
 
     ``maximize_unimodal`` over ``_default_threshold_bracket``: a log-spaced
-    grid scan, then a Newton root in u = log z_t, near the best grid point
-    or past a plateau along which it still rises, of the first-order
-    condition sf S / (T (T + S)) = z_t log(1 + S/T) (Goldsmith & Varaiya
-    1997), dC/du over the density, with its derivative from sf' = -p and
-    dT/du = -p. Each Newton point integrates T once; every grid point
-    passed ``tci_dmax``, so T > 0 there. ``iterations`` counts the grid's
-    capacities; the optimum's is computed once, after the search.
+    grid scan of the capacity sf log(1 + S/T), then Newton roots in
+    u = log z_t of the first-order condition sf S / (T (T + S)) =
+    z_t log(1 + S/T) (Goldsmith & Varaiya 1997), dC/du over the density,
+    with its derivative from sf' = -p and dT/du = -p, in each grid cell
+    where it falls through zero. The capacity, the condition and its
+    derivative read one (z_t, sf, T) per threshold, which rejects a T <= 0
+    as ``tci_dmax`` does; ``iterations`` counts the thresholds read.
     """
     _check_power(S)
-    bracket = _default_threshold_bracket(dist)
-    evals = [0]
-    known = {}
+    known = {}  # (z_t, sf, T) of each threshold read, under log z_t and the u of z_t = e^u
 
-    def objective(z_t: float) -> float:
-        evals[0] += 1
-        return tci_capacity(dist, S, z_t).capacity_nats
-
-    def point(u: float) -> tuple[float, float, float]:
+    def point(u: float, z_t: float) -> tuple[float, float, float]:
         if u not in known:
-            z_t = math.exp(u)
-            known[u] = (z_t, float(dist.sf(z_t)), dist.tail_inverse_integral(z_t))
+            known[u] = known[math.log(z_t)] = (z_t, float(dist.sf(z_t)), _tci_tail(dist, z_t))
         return known[u]
 
+    def capacity_at(z_t: float) -> float:
+        _, sf, T = point(math.log(z_t), z_t)
+        return sf * math.log1p(S / T)
+
     def foc(u: float) -> float:
-        z_t, sf, T = point(u)
+        z_t, sf, T = point(u, math.exp(u))
         return sf * S / (T * (T + S)) - z_t * math.log1p(S / T)
 
     def dfoc(u: float) -> float:
-        z_t, sf, T = point(u)
+        z_t, sf, T = point(u, math.exp(u))
         q = T * (T + S)
         return (float(dist.pdf(z_t)) * S * (sf * (2.0 * T + S) - 2.0 * z_t * q) / q / q
                 - z_t * math.log1p(S / T))
 
-    z_star = maximize_unimodal(objective, bracket, foc=foc, dfoc=dfoc)
-    result = tci_capacity(dist, S, z_star)
-    solution = ThresholdSolution(
-        z_t=z_star, residual=None, iterations=evals[0], capacity_nats=result.capacity_nats
-    )
-    return solution, result
+    z_star = maximize_unimodal(capacity_at, _default_threshold_bracket(dist), foc=foc, dfoc=dfoc)
+    cap, T = capacity_at(z_star), point(math.log(z_star), z_star)[2]
+    return (ThresholdSolution(z_star, None, len(set(known.values())), cap),
+            CapacityResult(Scheme.TCI, S, cap, threshold_z_t=z_star, d_max=1.0 / (z_star * T)))
 
 
 def ctci_dmax(dist: FadingDistribution, z_t: float) -> float:

@@ -19,7 +19,8 @@ from .schemes import Scheme
 
 ORDERING_SLACK = 1e-9
 RESIDUAL_TOL = 1e-8
-# the powers at which the pre-log and slope checks read the capacities
+# the pre-log and slope checks read the capacities at S_HI / g and S_LO / g, with
+# g = exp(E[log z]): the same received SNRs, and check values, at any scale
 S_HI = 1e6
 S_LO = 1e-6
 # the OA powers of the residual check and the powers and sample count of
@@ -91,7 +92,7 @@ def _bounded(name: str, value: float, lo: float, hi: float) -> CheckResult:
 
 
 def check_prelogs(dist: FadingDistribution) -> list[CheckResult]:
-    """Capacities at ``S_HI`` within the high-SNR bounds of ``asymptotics``.
+    """Capacities at ``S_HI`` / g within the high-SNR bounds of ``asymptotics``.
 
     TCI's X is 1/T(z_t) above the cutoff, with pre-log sf(z_t), and CTCI's
     is D_max min(z, z_t), whose log has mean E[log z] - E[log(z/z_t); z > z_t].
@@ -108,21 +109,23 @@ def check_prelogs(dist: FadingDistribution) -> list[CheckResult]:
          (inv - T + sf / z_t) / d),
         (Scheme.TCI, sf, -sf * math.log(T), sf * T),
     ]
+    S = S_HI / math.exp(dist.log_mean)
     results = []
     for scheme, P, log_x, inv_x in cases:
-        C = schemes.capacity(dist, scheme, S_HI, z_t=z_t).capacity_nats
-        excess = C - (P * math.log(S_HI) + log_x)
-        results.append(_bounded(f"prelog_{scheme.value}", excess, 0.0, inv_x / S_HI))
+        C = schemes.capacity(dist, scheme, S, z_t=z_t).capacity_nats
+        excess = C - (P * math.log(S) + log_x)
+        results.append(_bounded(f"prelog_{scheme.value}", excess, 0.0, inv_x / S))
     return results
 
 
 def check_slopes(dist: FadingDistribution) -> list[CheckResult]:
-    """Capacities over S at ``S_LO`` within the low-SNR bounds of
+    """Capacities over S at S = ``S_LO`` / g within the low-SNR bounds of
     ``asymptotics``. RA's X = z is unbounded, so its lower bound caps it
     at 1e-3 / S and takes E[min(z, 1e-3 / S)]. An infinite slope is skipped.
     """
     z_t = _chain_threshold(dist)
-    ra_cap = 1e-3 / S_LO
+    S = S_LO / math.exp(dist.log_mean)
+    ra_cap = 1e-3 / S
     peaks = {
         Scheme.AWGN: dist.mean,
         Scheme.RA: ra_cap,
@@ -136,9 +139,8 @@ def check_slopes(dist: FadingDistribution) -> list[CheckResult]:
         if not math.isfinite(m):
             continue
         head = dist.survival_table.sf_integral(ra_cap) if scheme is Scheme.RA else m
-        C = schemes.capacity(dist, scheme, S_LO, z_t=z_t).capacity_nats
-        results.append(_bounded(f"slope_{scheme.value}", C / S_LO,
-                                head * (1.0 - 0.5 * S_LO * peak), m))
+        C = schemes.capacity(dist, scheme, S, z_t=z_t).capacity_nats
+        results.append(_bounded(f"slope_{scheme.value}", C / S, head * (1.0 - 0.5 * S * peak), m))
     return results
 
 

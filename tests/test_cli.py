@@ -380,6 +380,18 @@ class TestSweepCommand:
         rows = read_sweep(out)
         assert float(rows[1]["z_t"]) < float(rows[0]["z_t"])
 
+    def test_optimized_threshold_without_channel_mass_above_a_grid_point_exits_2(self, capsys):
+        # QUADPACK returns T = -6.5e-16 at the grid threshold 333306.6 of
+        # this heavy-tailed law; the search rejects it as tci_dmax does,
+        # before the first-order condition takes log1p(S/T)
+        code, out, err = run(
+            capsys,
+            ["sweep", "--dist", "frechet:alpha=1.01,K=8", "--schemes", "tci:opt", "--snr-db", "0"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: no channel mass above threshold 333306.60858840955\n"
+
 
 class TestGapsCommand:
     def test_miso22_reference_values(self, capsys):

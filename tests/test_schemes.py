@@ -786,6 +786,56 @@ class TestTciOptimize:
             _, ref_cap = oracles.tci_best(ref, S, 1e-4, float(ref.top) * (1 - 1e-9))
         assert abs(best.capacity_nats - float(ref_cap)) <= 1e-12
 
+    @pytest.mark.parametrize("law", [
+        lambda: _gamma_law(2), lambda: _miso_law(2, 2), lambda: _workload_tab_law(1),
+        lambda: _frechet_law(2.5, 3),
+    ], ids=["gamma2", "miso22", "tab1", "frechet25_3"])
+    def test_reads_each_threshold_once(self, monkeypatch, law):
+        # the capacity, the first-order condition and its derivative share
+        # one read of T per threshold, the optimum's included
+        law = law()
+        original = FadingDistribution.tail_inverse_integral
+        points = []
+
+        def counted(dist, t):
+            points.append(t)
+            return original(dist, t)
+
+        monkeypatch.setattr(FadingDistribution, "tail_inverse_integral", counted)
+        for db in range(-60, 91, 30):
+            points.clear()
+            solution, result = tci_optimize(law, 10.0 ** (db / 10.0))
+            assert len(set(points)) == len(points) == solution.iterations, db
+            assert result.threshold_z_t == solution.z_t in points, db
+
+    @pytest.mark.parametrize("law", [
+        lambda: _gamma_law(2), lambda: _miso_law(2, 2), lambda: _workload_tab_law(1),
+        lambda: _workload_tab_law(2), lambda: _workload_tab_law(3), lambda: _frechet_law(2.5, 3),
+        lambda: _frechet_law(50.0, 1), lambda: _frechet_law(3.0, 2),
+    ], ids=["gamma2", "miso22", "tab1", "tab2", "tab3", "frechet25_3", "frechet50_1",
+            "frechet3_2"])
+    def test_a_root_of_the_first_order_condition_wins_where_one_exists(self, monkeypatch, law):
+        # wherever the condition falls through zero between two grid points,
+        # the threshold is a root inside that cell, not the best grid point
+        law = law()
+        search = {}
+
+        def spy(h, bracket, *, foc, dfoc):
+            search.update(bracket=bracket, foc=foc)
+            return numerics.maximize_unimodal(h, bracket, foc=foc, dfoc=dfoc)
+
+        monkeypatch.setattr(schemes, "maximize_unimodal", spy)
+        falls = 0
+        for db in range(-60, 91, 10):
+            solution, _ = tci_optimize(law, 10.0 ** (db / 10.0))
+            bracket = search["bracket"]
+            grid = np.geomspace(bracket.lo, bracket.hi, 64).tolist()
+            signs = [search["foc"](math.log(x)) for x in grid]
+            if any(a > 0.0 > b for a, b in zip(signs, signs[1:])):
+                falls += 1
+                assert solution.z_t not in grid, db
+        assert falls > 0
+
 
 class TestCtci:
     def test_zero_threshold_is_inversion_exactly(self, gamma2):

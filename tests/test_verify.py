@@ -1,6 +1,7 @@
 """Self-check suite plumbing."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -47,7 +48,8 @@ def test_fast_level_handles_degenerate_inversion():
     # a constant offset at high SNR leaves the pre-log's slope in log S alone
     ("ra_capacity", lambda S, C: C - 1e-3 if S > 1e3 else C, "prelog_ra"),
     ("ctci_capacity", lambda S, C: C - 1e-3 if S > 1e3 else C, "prelog_ctci"),
-    ("ra_capacity", lambda S, C: C * (1.0 + 1e-3) if S == 1e-6 else C, "slope_ra"),
+    # the slope check alone reads a capacity below -20 dB
+    ("ra_capacity", lambda S, C: C * (1.0 + 1e-3) if S < 1e-3 else C, "slope_ra"),
 ], ids=["prelog_ra", "prelog_ctci", "slope_ra"])
 def test_a_capacity_off_its_bounds_fails_its_check(monkeypatch, kernel, change, check):
     original = getattr(schemes, kernel)
@@ -59,6 +61,31 @@ def test_a_capacity_off_its_bounds_fails_its_check(monkeypatch, kernel, change, 
     monkeypatch.setattr(schemes, kernel, mutated)
     results = {r.name: r for r in run_checks(make_miso_multiuser(2, 2), level="fast")}
     assert not results[check].passed, results[check]
+
+
+def _checked_values(dist):
+    """(value, lower bound, upper bound) of each pre-log and slope check, as
+    printed, with the slopes, which carry the unit of z, over E[z]."""
+    values = {}
+    for r in run_checks(dist, level="fast"):
+        if r.name.startswith(("prelog_", "slope_")):
+            value, lo, hi = re.fullmatch(r"(\S+) in \[(\S+), (\S+)\]", r.detail).groups()
+            scale = dist.mean if r.name.startswith("slope_") else 1.0
+            values[r.name] = [float(x) / scale for x in (value, lo, hi)]
+    return values
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e9])
+def test_pre_log_and_slope_checks_do_not_depend_on_the_law_scale(c):
+    # the checks read the capacities at powers over exp(E[log z]), the same
+    # received SNRs on gamma:N=2 and on the law scaled by c: at fixed powers,
+    # S = 1e-6 is 33 dB of received SNR at c = 1e9, where every slope's lower
+    # bound is negative, and at c = 1e-9 the pre-log bounds are [0, 1000]
+    base = _checked_values(make_gamma_diversity(2))
+    scaled = _checked_values(make_gamma_diversity(2).scaled(c))
+    assert scaled.keys() == base.keys() and len(base) == 9
+    for name, values in base.items():
+        assert scaled[name] == pytest.approx(values, rel=1e-5, abs=0.0), name
 
 
 def test_a_ci_capacity_where_inversion_is_degenerate_fails_its_pre_log(monkeypatch):
