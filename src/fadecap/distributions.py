@@ -12,8 +12,8 @@ E[1/z] may be infinite (e.g. single-antenna Rayleigh); channel-inversion
 style schemes consult ``inverse_mean_finite`` and degrade gracefully.
 Truncated inversion depends on the law through F and the tail functional
 T(t) = E[1/z; z > t]; a law may carry T in closed form (gamma and
-tabulated laws do, and a scaled law maps its base law's), and otherwise T
-is integrated through ``expect``.
+tabulated laws do, and a scaled law maps its base law's), and otherwise
+``expect`` integrates it by QUADPACK.
 Heavy-tailed gains may have infinite E[z]; ``mean_finite`` flags the
 resulting inconsistency with a finite-average-power link budget.
 
@@ -43,15 +43,12 @@ sf + cdf = 1 at the law's knots). ``survival_table``, a
 is built, gives the OA constraint, the OA capacity, the RA and CTCI
 capacities and CTCI's low-SNR slope from ``sf`` alone, with no
 quadrature and no density. It also builds the law: a factory passes None
-for a moment with no closed form, and ``_validate`` sums it on the
-table's nodes, and checks the law's mass and mean there, with no
-adaptive quadrature.
-
-Every other expectation E[g(z)] goes through ``FadingDistribution.expect``,
-which picks its rule from the support alone: adaptive QUADPACK on an
-unbounded support, and on a bounded one a sum over the survival table's
-nodes, whose panels lie between the law's knots. A tabulated law's knots
-are its grid, and a scaled law's are its base law's, scaled.
+for a moment with no closed form, and ``_validate`` sums it over every
+node of the table, whose panels lie between the law's knots, and checks
+the law's mass and mean there, with no adaptive quadrature. A tabulated
+law's knots are its grid, and a scaled law's are its base law's, scaled.
+The one expectation left, T(t) without a closed form, is
+``FadingDistribution.expect``: QUADPACK over [t, support top).
 
 Distributions are immutable after construction; samplers take an
 explicit numpy Generator so callers own all random state. A sampler
@@ -182,10 +179,11 @@ class FadingDistribution:
 
     ``mean``, ``inverse_mean`` and ``log_mean`` are closed forms where the
     factory has them (a factory passes None otherwise, and ``_validate``
-    sums the moment on the survival table). ``tail_inverse`` gives
+    sums the moment over the survival table). ``tail_inverse`` gives
     T(t) = E[1/z; z > t] for t > 0 without integrating this law's density:
     a closed form, or for a scaled law the base law's T. When it is None,
-    ``tail_inverse_integral`` integrates T through ``expect``. ``sf`` is
+    ``tail_inverse_integral`` integrates T by QUADPACK through ``expect``,
+    on a bounded support as on an unbounded one. ``sf`` is
     the survival function 1 - F (1 below 0), in a form that keeps its
     digits where F is near 1.
     """
@@ -214,34 +212,23 @@ class FadingDistribution:
     def mean_finite(self) -> bool:
         return math.isfinite(self.mean)
 
-    def expect(self, integrand=None, lo: float = 0.0, hi: float = None) -> float:
-        """Integral of integrand(z) * pdf(z) over [lo, hi] (hi=None: support top).
+    def expect(self, integrand: Callable, lo: float) -> float:
+        """Integral of integrand(z) * pdf(z) over [lo, support top).
 
-        On a bounded support the sum runs over the nodes of the law's
-        ``survival_table`` (``SurvivalTable.expectation``), whose panels lie
-        between ``quad_knots``: the knots must split the density into smooth
-        pieces, a bounded law's first knot is its lower support end (the
-        density is 0 below it), and the integrand and the density must take
-        arrays. On an unbounded support QUADPACK integrates adaptively to
-        ``numerics.REL_TOL``, with subdivision forced at the law's knots: the
-        table stops where sf is spent, and on a heavy tail an integral of
-        z pdf to t past its top would lose up to t sf(top) (E[min(Z, t)]
-        from sf, ``SurvivalTable.sf_integral``, loses under t
-        ``SF_TABLE_CUT``). No law's construction calls ``expect``; T(t)
-        without a closed form does.
+        QUADPACK integrates adaptively to ``numerics.REL_TOL``, with
+        subdivision forced at the law's knots: over [lo, inf) on an
+        unbounded support, over [lo, top] on a bounded one, and 0 when lo
+        is at or past the top. The integrand and the density are called one
+        point at a time. Only T(t) without a closed form calls ``expect``:
+        a moment without one is summed on the survival table while the law
+        is built (``_validate``).
         """
-        bounded = self.support_sup < math.inf
-        upper = self.support_sup if hi is None else min(hi, self.support_sup)
-        lower = max(lo, self.quad_knots[0] if bounded and self.quad_knots else 0.0)
-        if upper <= lower:
+        if lo >= self.support_sup:
             return 0.0
-        if bounded:
-            g = np.ones_like if integrand is None else integrand
-            return self.survival_table.expectation(g, self.pdf, lower, upper)
-        f = self.pdf if integrand is None else (lambda z: integrand(z) * self.pdf(z))
-        if math.isinf(upper):
-            return integrate_semi_infinite(f, lower, knots=self.quad_knots).value
-        return integrate_finite(f, lower, upper, knots=self.quad_knots).value
+        f = lambda z: integrand(z) * self.pdf(z)
+        if math.isinf(self.support_sup):
+            return integrate_semi_infinite(f, lo, knots=self.quad_knots).value
+        return integrate_finite(f, lo, self.support_sup, knots=self.quad_knots).value
 
     @functools.cached_property
     def survival_table(self) -> SurvivalTable:
@@ -335,11 +322,12 @@ def _validate(dist: FadingDistribution, sf_past_top: Callable = None) -> FadingD
         if not gap <= _SF_CHECK_TOL:
             raise ValueError(f"{dist.name}: sf + cdf deviates from 1 by {gap} at the knots")
     table = dist.survival_table
-    # a bounded law's density starts at its first knot, as in ``expect``
+    # a bounded law's density starts at its first knot, at or below the
+    # table's lower end
     bottom = dist.quad_knots[0] if dist.support_sup < math.inf and dist.quad_knots else 0.0
     for name, g in _MOMENT_INTEGRANDS.items():
         if getattr(dist, name) is None:
-            moment = table.expectation(g, dist.pdf, bottom, dist.support_sup) / table.mass
+            moment = table.expectation(g, dist.pdf, bottom) / table.mass
             object.__setattr__(dist, name, moment)
     # written as "not within" so that a NaN fails each check
     if not abs(table.mass - 1.0) <= _MASS_TOL:
@@ -598,10 +586,12 @@ def make_miso_multiuser(N, K) -> FadingDistribution:
 
     def sf(z):
         def positive(zp):
-            # 1 - P^K as -expm1(K log P), with log P = log1p(-Q) where P > 1/2
+            # 1 - P^K as -expm1(K log P), with log P = log1p(-Q) where P > 1/2.
+            # Q is clamped at 1: where P is near 0 the sum can round past it,
+            # and log1p(-Q) is read only where P > 1/2.
             p, q = special.gammainc(N, zp), _poisson_tail(N, zp)
             with np.errstate(divide="ignore"):
-                log_p = np.where(p > 0.5, np.log1p(-q), np.log(p))
+                log_p = np.where(p > 0.5, np.log1p(-np.fmin(q, 1.0)), np.log(p))
             return -np.expm1(K * log_p)
 
         return _survival(z, positive)
@@ -769,10 +759,9 @@ def make_tabulated(grid) -> FadingDistribution:
     The grid must hold at least 4 strictly increasing z >= 0 with
     nonnegative density values; the density is renormalized to unit
     mass. The tail functional T sums each segment's integral of p(z)/z
-    in closed form, and E[1/z] is T at the grid's first point. E[z],
-    E[log z] and every other expectation are summed on the survival
-    table, whose panels lie within the segments (``_validate`` sums the
-    two moments while the law is built). Sampling inverts the
+    in closed form, and E[1/z] is T at the grid's first point. E[z] and
+    E[log z] are summed on the survival table, whose panels lie within
+    the segments, while the law is built (``_validate``). Sampling inverts the
     piecewise-quadratic CDF, and the diversity order is estimated from the
     log-log slope of the CDF over the 5 smallest usable grid points.
     """

@@ -20,11 +20,11 @@ panels from the top. Integration by parts writes the OA power constraint,
 the OA capacity, the RA capacity and the CTCI capacity as integrals of sf
 alone, with positive integrands: a table lookup plus one partial panel
 above a point, or a sum over the stored nodes below a cap plus one
-partial panel. An integral of g times the density over a range (every
-expectation on a bounded support and a law's moments) takes the same
-nodes, with the density evaluated at each query. The density at the
-nodes also gives the law's mass, and the nodes' sf its mean, which the
-law checks when built.
+partial panel. A law's moments without a closed form are integrals of g
+times the density over the whole table, summed on every stored node
+with the density evaluated there. The density at the nodes also gives
+the law's mass, and the nodes' sf its mean, which the law checks when
+built.
 """
 
 from __future__ import annotations
@@ -341,50 +341,22 @@ class SurvivalTable:
             return math.log1p(s * cap)
         return math.log1p(s * self.lo) + self._capped_sum(lambda y: s * y / (1.0 + s * y), cap)
 
-    def expectation(self, g: Callable, pdf: Callable, bottom: float = 0.0,
-                    top: float = math.inf) -> float:
-        """Integral of g(y) pdf(y) over [bottom, top], for 0 <= bottom.
+    def expectation(self, g: Callable, pdf: Callable, bottom: float = 0.0) -> float:
+        """Integral of g(y) pdf(y) from bottom to the table's top, for
+        0 <= bottom <= lo.
 
-        In u = log y, w y g(y) pdf(y) is summed over the stored nodes of the
-        panels between the ends, plus the part inside [bottom, top] of each
-        end's panel on its own 20 nodes (one panel when both ends share
-        it). Below ``lo``, where F is under ``SF_TABLE_CUT``, the part over
+        In u = log y, w y g(y) pdf(y) is summed over every stored node. When
+        bottom < lo, where F is under ``SF_TABLE_CUT``, the part over
         [bottom, lo] is one 20-node panel in y itself, exact for a density
         linear there times a g such as 1/y or y; above the table's top there
         is no mass left to add. ``g`` and ``pdf`` take arrays and are called
         once, on every node: the table keeps only its weights.
         """
-        if top <= bottom:
-            return 0.0
-        edges, n = self.u_edges, len(self.u_edges) - 1
-        parts = []  # (y, w y) on each stretch
-
-        def partial(a, b):
-            y, w = _u_panel(a, b)
-            parts.append((y, w * y))
-
-        a, b = math.log(max(bottom, self.lo)), min(math.log(top), edges[-1])
-        if a < b:
-            j = bisect.bisect_right(edges, a) - 1
-            k = bisect.bisect_right(edges, b) - 1 if b < edges[-1] else n
-            if j == k:
-                partial(a, b)
-            else:
-                if a > edges[j]:
-                    partial(a, edges[j + 1])
-                    j += 1
-                m = _SF_NODES.size
-                parts.append((self._y[j * m:k * m], self._wy[j * m:k * m]))
-                if k < n:
-                    partial(edges[k], b)
+        y, wy = self._y, self._wy
         if bottom < self.lo:
-            c = min(top, self.lo)
-            half = 0.5 * (c - bottom)
-            parts.append((0.5 * (c + bottom) + half * _SF_NODES, half * _SF_WEIGHTS))
-        if not parts:
-            return 0.0
-        y = np.concatenate([y for y, _ in parts])
-        wy = np.concatenate([wy for _, wy in parts])
+            half = 0.5 * (self.lo - bottom)
+            y = np.concatenate((y, 0.5 * (self.lo + bottom) + half * _SF_NODES))
+            wy = np.concatenate((wy, half * _SF_WEIGHTS))
         return float(np.dot(wy * g(y), pdf(y)))
 
 

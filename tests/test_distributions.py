@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import digamma
 
 from fadecap import distributions, numerics
@@ -302,18 +303,16 @@ LOWER_END_LAWS = {
 
 # Recorded while the bounded rule still integrated from 0 up to a grid's
 # first point: capacities of OA, RA, CI, TCI and CTCI (z_t = 1) at
-# S = 0.1, 10 and 1000, T(t) at t = 0, 0.5, 1, 3 and H(t) at t = 0.5, 1, 3, 8.
+# S = 0.1, 10 and 1000, and T(t) at t = 0, 0.5, 1, 3.
 # Three "zero" values were recorded again when T became an exact segment
 # sum, each nearer the 30-digit oracle: CI at S = 0.1 and 1000 and T(3).
 # Eight OA and RA values were recorded again when OA and RA moved to the
 # survival table, each nearer the oracle: OA and RA at S = 0.1 on every
 # grid but RA on "scaled", RA at S = 10 and 1000 on "zero" and RA at
-# S = 10 on "scaled". Three "zero" H values, at t = 0.5, 3 and 8, were
-# recorded again, each 1 ulp off its old value, when a bounded law's
-# expectations moved onto its survival table. Five "zero" values moved by
-# 1 ulp when T's segment integrals came to be summed in floats, and were
-# recorded again: TCI at S = 0.1 and 10 (each nearer the 50-digit oracle)
-# and T(0.5), T(1), T(3) (each within 1.4e-16 of it). Two "zero" CTCI
+# S = 10 on "scaled". Five "zero" values moved by 1 ulp when T's segment
+# integrals came to be summed in floats, and were recorded again: TCI at
+# S = 0.1 and 10 (each nearer the 50-digit oracle) and T(0.5), T(1), T(3)
+# (each within 1.4e-16 of it). Two "zero" CTCI
 # values moved when CTCI became a capped sum of sf on the survival table,
 # and were recorded again: at S = 0.1 from 2.4e-16 to 3.5e-17 off the
 # 30-digit oracle, and at S = 10 from 1.2e-16 to 2.1e-16. The three
@@ -329,7 +328,6 @@ LOWER_END_RECORDS = {
             [7.495625756176662, 7.495625671685913, 7.315108623910032, 6.32815295404796, 7.370542207098688],
         ],
         "T": [0.6658520938477102, 0.6658520938477102, 0.4058007140709271, 0.054895068348317755],
-        "H": [0.0, 0.14380505708800642, 1.2411722233622604, 2.1505355101801986],
     },
     "zero": {
         "caps": [
@@ -338,7 +336,6 @@ LOWER_END_RECORDS = {
             [7.343200069630935, 7.343198009134988, 6.9511932211513185, 5.859195485533612, 7.21653859328779],
         ],
         "T": [0.9584096416599809, 0.6086608593174792, 0.3714611267665928, 0.05028430536467673],
-        "H": [0.02768702489121152, 0.15904882684412947, 1.1636194628497902, 1.996648209304423],
     },
     "scaled": {
         "caps": [
@@ -347,13 +344,12 @@ LOWER_END_RECORDS = {
             [8.593794340402612, 8.593794331004448, 8.413277208135982, 8.413277208135982, 8.413277208135982],
         ],
         "T": [0.22195069794923677, 0.22195069794923675, 0.22195069794923675, 0.13526690469030905],
-        "H": [0.0, 0.0, 0.4314151712640193, 3.2005957550740067],
     },
 }
 
 
 class TestBoundedRuleLowerEnd:
-    """A bounded law's expectations start at its first knot, where its density starts."""
+    """A bounded law's moments are summed from its first knot, where its density starts."""
 
     @pytest.mark.parametrize("case, points, rel", [
         ("off", 520, 1e-15), ("scaled", 520, 1e-15), ("zero", 2280, 0.0),
@@ -365,7 +361,8 @@ class TestBoundedRuleLowerEnd:
         # panel in z on [0, lo].
         law = LOWER_END_LAWS[case]()
         nodes = []
-        law.expect(lambda z: nodes.append(z) or np.ones_like(z))
+        law.survival_table.expectation(lambda z: nodes.append(z) or np.ones_like(z), law.pdf,
+                                       law.quad_knots[0])
         nodes = np.concatenate(nodes)
         assert nodes.size == points and nodes.min() >= law.quad_knots[0]
         record = LOWER_END_RECORDS[case]
@@ -375,13 +372,12 @@ class TestBoundedRuleLowerEnd:
             assert got == pytest.approx(expected, rel=rel, abs=0.0)
         tails = [law.tail_inverse_integral(t) for t in (0.0, 0.5, 1.0, 3.0)]
         assert tails == pytest.approx(record["T"], rel=rel, abs=0.0)
-        heads = [law.expect(lambda z: z, hi=t) for t in (0.5, 1.0, 3.0, 8.0)]
-        assert heads == pytest.approx(record["H"], rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("case", sorted(LOWER_END_LAWS))
     def test_head_mean_matches_exact_segment_sums(self, case):
-        # H(t) = sum over the segments below t of the integral of
-        # z (c0 + c1 z); worst measured 3.6e-16 ("scaled", t = 8)
+        # H(t) = E[z; z < t] = E[min(z, t)] - t sf(t), from the survival
+        # table, against the sum over the segments below t of the integral
+        # of z (c0 + c1 z); worst measured 9.3e-16 ("scaled", t = 3)
         c = 3.0 if case == "scaled" else 1.0
         grid = gamma_shape_grid(0.0 if case == "zero" else 0.5)
         law, ref = LOWER_END_LAWS[case](), oracles.TabulatedLaw(case, grid)
@@ -391,16 +387,15 @@ class TestBoundedRuleLowerEnd:
                 exact = c * mpmath.fsum(
                     c0 * (min(b, x) ** 2 - a ** 2) / 2 + c1 * (min(b, x) ** 3 - a ** 3) / 3
                     for a, b, c0, c1 in ref.seg if a < x)
-                got = law.expect(lambda z: z, hi=t)
+                got = law.survival_table.sf_integral(t) - t * law.sf(t)
                 assert (got == 0.0 if exact == 0 else _rel_err(got, exact) <= 1.1e-15), t
 
 
-# (fadecap law, 30-digit oracle law). The MISO and max-exponential moments
-# are integrated through ``expect``, so the consistency checks below compare
-# them with themselves. A tabulated law's E[z] and E[log z] are integrated
-# through ``expect`` on its survival table too, and its E[1/z] is T at its
-# first grid point; ``expect`` on a tabulated law is gated against the
-# oracle on its own below.
+# (fadecap law, 30-digit oracle law). The MISO and max-exponential moments,
+# and a tabulated law's E[z] and E[log z], are summed on the law's survival
+# table while it is built; a tabulated law's E[1/z] is T at its first grid
+# point. The whole-table sum on a tabulated law is gated against the oracle
+# on its own below.
 MOMENT_CASES = {
     "miso22": (partial(make_miso_multiuser, 2, 2), partial(oracles.miso_law, 2, 2)),
     "miso12": (partial(make_miso_multiuser, 1, 2), partial(oracles.miso_law, 1, 2)),
@@ -458,18 +453,20 @@ def test_miso_moments_summed_on_the_table_match_30_digit_quadrature(N, K):
     *((name, 1.0) for name in sorted(MOMENT_CASES) if name.startswith("tab")), ("tab3", 2.5),
 ])
 def test_bounded_expect_matches_30_digit_oracles(name, c):
-    # E[1], E[z], E[log z] and, where finite, E[1/z], summed on the survival
-    # table of the law scaled by c; worst measured 5.1e-16 (tab_positive_at_0
-    # E[z]). The piecewise rule this replaced missed E[log z] on
-    # tab_positive_at_0 by 1.2e-13, at the log singularity of its piece from 0.
+    # E[1], E[z], E[log z] and, where finite, E[1/z], summed over the whole
+    # survival table of the law scaled by c, from its first knot; worst
+    # measured 5.1e-16 (tab_positive_at_0 E[z]). The piecewise rule this
+    # replaced missed E[log z] on tab_positive_at_0 by 1.2e-13, at the log
+    # singularity of its piece from 0.
     build, oracle = MOMENT_CASES[name]
     law, ref = build().scaled(c) if c != 1.0 else build(), oracle()
     with mpmath.workdps(oracles.DPS):
         exact = (mpmath.mpf(1), c * ref.mean(), ref.log_mean() + mpmath.log(c),
                  ref.inverse_mean() / c)
-        for g, value in zip((None, lambda z: z, np.log, lambda z: 1.0 / z), exact):
+        for g, value in zip((np.ones_like, lambda z: z, np.log, lambda z: 1.0 / z), exact):
             if not mpmath.isinf(value):
-                assert _rel_err(law.expect(g), value) <= 4e-15, (g, value)
+                got = law.survival_table.expectation(g, law.pdf, law.quad_knots[0])
+                assert _rel_err(got, value) <= 4e-15, (g, value)
 
 
 # T(t) = E[1/z; z > t] in closed form, against 30-digit oracles: gamma
@@ -647,6 +644,38 @@ def test_tabulated_law_builds_one_survival_table(monkeypatch):
     assert len(built) == 1 and law.survival_table is built[0]
 
 
+def test_tail_inverse_integral_on_a_bounded_law_without_a_closed_form():
+    # Z uniform on [1, 2], built by hand with no tail_inverse: T(t) is 1/z
+    # integrated over [t, 2] by finite QUADPACK, log(2/t) on [1, 2],
+    # log 2 below 1 and 0 from the top up
+    law = FadingDistribution(
+        name="uniform[1, 2]",
+        pdf=lambda z: float(1.0 <= z <= 2.0),
+        cdf=lambda z: np.clip(np.asarray(z, dtype=float) - 1.0, 0.0, 1.0),
+        sf=lambda z: np.clip(2.0 - np.asarray(z, dtype=float), 0.0, 1.0),
+        mean=1.5,
+        inverse_mean=math.log(2.0),
+        log_mean=2.0 * math.log(2.0) - 1.0,
+        support_sup=2.0,
+        diversity_order=math.inf,
+        quad_knots=(1.0, 2.0),
+    )
+    for t in (1.0, 1.25, 1.5, 1.9, 1.999):
+        assert law.tail_inverse_integral(t) == pytest.approx(math.log(2.0 / t), rel=1e-12), t
+    for t in (0.0, 0.3, 0.999):
+        assert law.tail_inverse_integral(t) == pytest.approx(math.log(2.0), rel=1e-12), t
+    for t in (2.0, 3.0, math.inf):
+        assert law.tail_inverse_integral(t) == 0.0, t
+
+
+def _quad_pdf(d, g, a, b=math.inf):
+    """Integral of g(z) pdf(z) over [a, b] by scipy's QUADPACK, to 1e-12
+    relative, in pieces split at the law's knots."""
+    ends = [a, *(k for k in d.quad_knots if a < k < b), b]
+    return math.fsum(quad(lambda z: g(z) * d.pdf(z), lo, hi, epsabs=1e-14, epsrel=1e-12,
+                          limit=250)[0] for lo, hi in zip(ends, ends[1:]))
+
+
 class TestSharedInvariants:
     def test_pdf_matches_cdf_increments(self, builtin_dists):
         rng = np.random.default_rng(7)
@@ -655,18 +684,18 @@ class TestSharedInvariants:
                 a, b = np.sort(rng.uniform(0.05, 6.0, size=2))
                 if b - a < 1e-3:
                     continue
-                mass = d.expect(lo=a, hi=b)
+                mass = _quad_pdf(d, lambda z: 1.0, a, b)
                 increment = float(d.cdf(b) - d.cdf(a))
                 assert mass == pytest.approx(increment, abs=1e-8), d.name
 
     def test_closed_moments_match_quadrature(self, builtin_dists):
         for d in builtin_dists:
             if d.mean_finite:
-                assert d.expect(lambda z: z) == pytest.approx(
+                assert _quad_pdf(d, lambda z: z, 0.0) == pytest.approx(
                     d.mean, rel=1e-8
                 ), d.name
             if d.inverse_mean_finite:
-                assert d.expect(lambda z: 1.0 / z) == pytest.approx(
+                assert _quad_pdf(d, lambda z: 1.0 / z, 0.0) == pytest.approx(
                     d.inverse_mean, rel=1e-8
                 ), d.name
 
@@ -680,8 +709,8 @@ class TestSharedInvariants:
                 # head up to the surrogate plus the remaining tail must
                 # recover the mean; for light tails the tail term is ~0,
                 # for the z^-3 law it is still a few permille at 700
-                tail = d.expect(lambda z: z, lo=700.0)
-                assert d.expect(lambda z: z, hi=700.0) + tail == pytest.approx(
+                tail = _quad_pdf(d, lambda z: z, 700.0)
+                assert _quad_pdf(d, lambda z: z, 0.0, 700.0) + tail == pytest.approx(
                     d.mean, rel=1e-9
                 ), d.name
 
