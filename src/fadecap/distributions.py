@@ -43,10 +43,12 @@ sf + cdf = 1 at the law's knots). ``survival_table``, a
 is built, gives the OA constraint, the OA capacity, the RA and CTCI
 capacities and CTCI's low-SNR slope from ``sf`` alone, with no
 quadrature and no density. It also builds the law: a factory passes None
-for a moment with no closed form, and ``_validate`` sums it over every
-node of the table, whose panels lie between the law's knots, and checks
-the law's mass and mean there, with no adaptive quadrature. A tabulated
-law's knots are its grid, and a scaled law's are its base law's, scaled.
+for a moment with no closed form, and ``_validate`` takes it as one dot
+product with the density weights the table keeps at its nodes, whose
+panels lie between the law's knots, and checks the law's mass and mean
+there, with no adaptive quadrature and no further density evaluation. A
+tabulated law's knots are its grid, and a scaled law's are its base
+law's, scaled.
 The one expectation left, T(t) without a closed form, is
 ``FadingDistribution.expect``: QUADPACK over [t, support top).
 
@@ -304,10 +306,11 @@ def _validate(dist: FadingDistribution, sf_past_top: Callable = None) -> FadingD
     ``survival_table``, which is built here, with no adaptive quadrature.
 
     ``sf`` is checked against the CDF at the knots. A moment the factory
-    left as None has no closed form; it is summed on the table's nodes
-    (``SurvivalTable.expectation``), divided by the table's mass so that a
-    density normalised some ulps off (MISO's float log Gamma(N)) does not
-    skew it, and set on the law, which is still being built. The mass is
+    left as None has no closed form; it is a dot product with the density
+    weights kept at the table's nodes (``SurvivalTable.expectation``),
+    divided by the table's mass so that a density normalised some ulps off
+    (MISO's float log Gamma(N)) does not skew it, and set on the law,
+    which is still being built. The mass is
     the density summed on the nodes, plus F below the table
     (``SurvivalTable.mass``). A finite mean is checked against the
     integral of sf, an independent route: ``SurvivalTable.sf_integral()``,
@@ -322,12 +325,9 @@ def _validate(dist: FadingDistribution, sf_past_top: Callable = None) -> FadingD
         if not gap <= _SF_CHECK_TOL:
             raise ValueError(f"{dist.name}: sf + cdf deviates from 1 by {gap} at the knots")
     table = dist.survival_table
-    # a bounded law's density starts at its first knot, at or below the
-    # table's lower end
-    bottom = dist.quad_knots[0] if dist.support_sup < math.inf and dist.quad_knots else 0.0
     for name, g in _MOMENT_INTEGRANDS.items():
         if getattr(dist, name) is None:
-            moment = table.expectation(g, dist.pdf, bottom) / table.mass
+            moment = table.expectation(g) / table.mass
             object.__setattr__(dist, name, moment)
     # written as "not within" so that a NaN fails each check
     if not abs(table.mass - 1.0) <= _MASS_TOL:
@@ -359,8 +359,9 @@ _POISSON_SUM_MAX_T = 700.0
 
 
 def _poisson_tail(n: int, t):
-    """Q(n, t) = e^-t sum_{k<n} t^k / k! for integer n >= 1 and t > 0, an
-    ``np.float64`` or an array; scipy's gammaincc past ``_POISSON_SUM_MAX_T``."""
+    """Q(n, t) = e^-t sum_{k<n} t^k / k! for integer n >= 1 and t >= 0, an
+    ``np.float64`` or an array, summed as positive terms (scipy's gammaincc
+    is 1e-13 off past t = 60); gammaincc past ``_POISSON_SUM_MAX_T``."""
     summed = np.minimum(t, _POISSON_SUM_MAX_T)
     term = total = np.exp(-summed)
     for k in range(1, n):
@@ -390,15 +391,7 @@ def make_gamma_diversity(N) -> FadingDistribution:
     def tail_inverse(t):
         if N == 1:
             return float(special.exp1(t))
-        if t > _POISSON_SUM_MAX_T:
-            return float(special.gammaincc(N - 1, t)) / (N - 1)
-        # For an integer order Q(N-1, t) = e^-t sum_{k < N-1} t^k / k!, a sum
-        # of positive terms; scipy's gammaincc is 1e-13 off past t = 60.
-        term = total = math.exp(-t)
-        for k in range(1, N - 1):
-            term *= t / k
-            total += term
-        return total / (N - 1)
+        return float(_poisson_tail(N - 1, np.float64(t))) / (N - 1)
 
     def pdf(z):
         return _as_float_or_array(

@@ -20,11 +20,12 @@ panels from the top. Integration by parts writes the OA power constraint,
 the OA capacity, the RA capacity and the CTCI capacity as integrals of sf
 alone, with positive integrands: a table lookup plus one partial panel
 above a point, or a sum over the stored nodes below a cap plus one
-partial panel. A law's moments without a closed form are integrals of g
-times the density over the whole table, summed on every stored node
-with the density evaluated there. The density at the nodes also gives
-the law's mass, and the nodes' sf its mean, which the law checks when
-built.
+partial panel. The table also keeps the density's weight at every node,
+from the one pass that places the panels, so a law's moment without a
+closed form, an integral of g times the density over the whole table, is
+one dot product of those weights with g at the nodes and evaluates no
+density. The weights also give the law's mass, and the nodes' sf its
+mean, which the law checks when built.
 """
 
 from __future__ import annotations
@@ -185,18 +186,18 @@ def _u_panel(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _u_panels(sf: Callable, pdf: Callable, a: np.ndarray, b: np.ndarray):
-    """Nodes y, one row per panel [a_i, b_i] in u, their weights w, w sf(y)
-    and w y pdf(y)."""
+    """Nodes y, one row per panel [a_i, b_i] in u, with w sf(y) and
+    w y pdf(y) for their weights w."""
     half = 0.5 * (b - a)[:, None]
     y = np.exp(0.5 * (a + b)[:, None] + half * _SF_NODES)
     w = half * _SF_WEIGHTS
-    return y, w, w * sf(y), w * y * pdf(y)
+    return y, w * sf(y), w * y * pdf(y)
 
 
 def _panel_sums(sf: Callable, pdf: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The integrals of sf/y, sf and y pdf over each panel [a_i, b_i] in u,
     one row per panel."""
-    y, _, w_sf, w_y_pdf = _u_panels(sf, pdf, a, b)
+    y, w_sf, w_y_pdf = _u_panels(sf, pdf, a, b)
     return np.stack((np.sum(w_sf / y, axis=1), np.sum(w_sf, axis=1), np.sum(w_y_pdf, axis=1)),
                     axis=1)
 
@@ -231,11 +232,11 @@ class SurvivalTable:
 
     Holds, at the edges of its panels, P(z) = integral of sf(y)/y^2 over
     [z, inf), which is E[(1/z - 1/Z)+], and C(z) = integral of sf(y)/y,
-    which is E[log(Z/z); Z > z], and keeps every node y with w y and
-    w sf(y), for its weight w in u. ``sf``, ``cdf`` and the density ``pdf``
-    take arrays of z > 0; ``knots`` are points where the law may be rough,
-    and every panel lies between two of them. The panels start at about
-    ``_PANELS_PER_UNIT`` to a unit of u and are halved where a panel's
+    which is E[log(Z/z); Z > z], and keeps every node y with w sf(y) and
+    w y pdf(y), for its weight w in u. ``sf``, ``cdf`` and the density
+    ``pdf`` take arrays of z > 0; ``knots`` are points where the law may be
+    rough, and every panel lies between two of them. The panels start at
+    about ``_PANELS_PER_UNIT`` to a unit of u and are halved where a panel's
     integrals of sf/y, sf and y pdf miss those of its halves
     (``_refined_edges``), so a sharply peaked law gets narrow panels at its
     peak.
@@ -243,6 +244,11 @@ class SurvivalTable:
     is taken as 1 there and P, C and RA have closed forms; above its top
     sf is taken as 0. ``mass`` is the density's integral over the nodes
     plus F(lo).
+    The density starts at ``bottom``: the smallest knot on a bounded
+    support (top < inf), and 0 on an unbounded one. When bottom < lo one
+    more 20-node panel in y itself over [bottom, lo], where F is under
+    ``SF_TABLE_CUT``, keeps w pdf(y) for ``expectation``; it is exact for a
+    density linear there times a g such as 1/y or y.
     """
 
     def __init__(self, sf: Callable, cdf: Callable, pdf: Callable, knots: Sequence[float] = (),
@@ -259,14 +265,21 @@ class SurvivalTable:
             edges.extend(np.linspace(a, b, n + 1)[1:].tolist())
         self.u_edges = _refined_edges(sf, pdf, edges)
         e = np.asarray(self.u_edges)
-        y, w, w_sf, w_y_pdf = _u_panels(sf, pdf, e[:-1], e[1:])
+        y, w_sf, w_y_pdf = _u_panels(sf, pdf, e[:-1], e[1:])
         self.P_edges = _sum_from_top(np.sum(w_sf / y, axis=1))
         self.C_edges = _sum_from_top(np.sum(w_sf, axis=1))
         # C(lo) + log lo: E[log Z], to within the F < SF_TABLE_CUT below lo
         self._log_mean = float(self.C_edges[0]) + math.log(self.lo)
         self._neg_P = -self.P_edges
-        self._y, self._wy, self._w_sf = y.ravel(), (w * y).ravel(), w_sf.ravel()
+        self._y, self._w_sf = y.ravel(), w_sf.ravel()
         self.mass = float(np.sum(w_y_pdf)) + float(cdf(self.lo))
+        self._pdf_y, self._w_pdf = self._y, w_y_pdf.ravel()
+        bottom = min(float(k) for k in knots) if top < math.inf and knots else 0.0
+        if bottom < self.lo:
+            half = 0.5 * (self.lo - bottom)
+            y = 0.5 * (self.lo + bottom) + half * _SF_NODES
+            self._pdf_y = np.concatenate((self._y, y))
+            self._w_pdf = np.concatenate((self._w_pdf, half * _SF_WEIGHTS * pdf(y)))
 
     @staticmethod
     def _lower_end(cdf, knots) -> float:
@@ -341,23 +354,13 @@ class SurvivalTable:
             return math.log1p(s * cap)
         return math.log1p(s * self.lo) + self._capped_sum(lambda y: s * y / (1.0 + s * y), cap)
 
-    def expectation(self, g: Callable, pdf: Callable, bottom: float = 0.0) -> float:
-        """Integral of g(y) pdf(y) from bottom to the table's top, for
-        0 <= bottom <= lo.
-
-        In u = log y, w y g(y) pdf(y) is summed over every stored node. When
-        bottom < lo, where F is under ``SF_TABLE_CUT``, the part over
-        [bottom, lo] is one 20-node panel in y itself, exact for a density
-        linear there times a g such as 1/y or y; above the table's top there
-        is no mass left to add. ``g`` and ``pdf`` take arrays and are called
-        once, on every node: the table keeps only its weights.
+    def expectation(self, g: Callable) -> float:
+        """Integral of g(y) pdf(y) from the density's bottom to the table's
+        top: g at every stored node, one call on an array, dotted with the
+        density weights kept when the table was built. Above the table's top
+        there is no mass left to add.
         """
-        y, wy = self._y, self._wy
-        if bottom < self.lo:
-            half = 0.5 * (self.lo - bottom)
-            y = np.concatenate((y, 0.5 * (self.lo + bottom) + half * _SF_NODES))
-            wy = np.concatenate((wy, half * _SF_WEIGHTS))
-        return float(np.dot(wy * g(y), pdf(y)))
+        return float(np.dot(self._w_pdf, g(self._pdf_y)))
 
 
 def find_root_monotone(

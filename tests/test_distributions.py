@@ -361,8 +361,7 @@ class TestBoundedRuleLowerEnd:
         # panel in z on [0, lo].
         law = LOWER_END_LAWS[case]()
         nodes = []
-        law.survival_table.expectation(lambda z: nodes.append(z) or np.ones_like(z), law.pdf,
-                                       law.quad_knots[0])
+        law.survival_table.expectation(lambda z: nodes.append(z) or np.ones_like(z))
         nodes = np.concatenate(nodes)
         assert nodes.size == points and nodes.min() >= law.quad_knots[0]
         record = LOWER_END_RECORDS[case]
@@ -465,7 +464,7 @@ def test_bounded_expect_matches_30_digit_oracles(name, c):
                  ref.inverse_mean() / c)
         for g, value in zip((np.ones_like, lambda z: z, np.log, lambda z: 1.0 / z), exact):
             if not mpmath.isinf(value):
-                got = law.survival_table.expectation(g, law.pdf, law.quad_knots[0])
+                got = law.survival_table.expectation(g)
                 assert _rel_err(got, value) <= 4e-15, (g, value)
 
 
@@ -585,7 +584,7 @@ def _scale_law(name):
     return SCALE_LAWS[name]()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(name=st.sampled_from(sorted(SCALE_LAWS)), c=st.floats(1e-3, 1e3),
        q=st.floats(1e-6, 0.9))
 def test_scaled_tail_functional_is_scale_consistent(name, c, q):

@@ -8,6 +8,7 @@ import pytest
 from scipy import special
 
 from fadecap.numerics import (
+    EULER_MASCHERONI,
     REL_TOL,
     Bracket,
     BracketError,
@@ -392,13 +393,9 @@ class TestSurvivalTable:
 
     def test_expectation_on_a_bounded_support(self):
         # Z uniform on [1, 2]: the integral of y pdf(y) over the table is
-        # E[Z] = 1.5, from its lower end lo = 1 or from 0, below which the
-        # density is 0
+        # E[Z] = 1.5, from its first knot, the table's lower end lo = 1
         table = SurvivalTable(*UNIFORM_1_2, knots=(1.0, 2.0), top=2.0)
-        pdf = UNIFORM_1_2[2]
-        for bottom in (0.0, 1.0):
-            assert table.expectation(lambda y: y, pdf, bottom) == pytest.approx(
-                1.5, rel=1e-14, abs=0.0), bottom
+        assert table.expectation(lambda y: y) == pytest.approx(1.5, rel=1e-14, abs=0.0)
 
     def test_expectation_of_log1p_on_the_exponential_law(self):
         # E[log(1 + aZ)] = e^(1/a) E1(1/a) for the exponential law
@@ -407,22 +404,34 @@ class TestSurvivalTable:
             for a in (1e-6, 1.0, 1e9):
                 b = 1 / mp.mpf(a)
                 expected = mp.exp(b) * mp.e1(b)
-                got = table.expectation(lambda y: np.log1p(a * y), lambda y: np.exp(-y))
+                got = table.expectation(lambda y: np.log1p(a * y))
                 assert got == pytest.approx(float(expected), rel=1e-14, abs=0.0), a
 
     def test_expectation_below_the_lower_end(self):
         # density y e^-y, sf = (1 + z) e^-z: F ~ z^2/2 puts lo near 1e-10,
-        # and E[1/Z; Z > b] = e^-b takes the part below lo, of relative
-        # size lo, from the panel in y
+        # and E[1/Z] = 1 takes the part below lo, of relative size lo, from
+        # the panel in y over [0, lo]
         table = SurvivalTable(lambda z: (1.0 + z) * np.exp(-z), lambda z: special.gammainc(2, z),
                               lambda z: z * np.exp(-z))
         assert 1e-11 < table.lo < 1e-9
-        inverse, pdf = (lambda y: 1.0 / y), (lambda y: y * np.exp(-y))
-        for b in (0.0, 1e-12):
-            with mp.workdps(30):
-                expected = float(mp.exp(-mp.mpf(b)))
-            assert table.expectation(inverse, pdf, b) == pytest.approx(
-                expected, rel=1e-14, abs=0.0), b
+        assert table.expectation(lambda y: 1.0 / y) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+
+    def test_expectation_evaluates_no_density(self):
+        # the table evaluates the density once per node while it is built,
+        # plus the 20 nodes of the panel in y below lo, and a moment then
+        # reads the weights it kept
+        points = []
+
+        def pdf(y):
+            points.append(np.size(y))
+            return np.exp(-y)
+
+        table = SurvivalTable(EXPONENTIAL[0], EXPONENTIAL[1], pdf)
+        built = len(points)
+        assert built > 0
+        assert table.expectation(lambda y: y) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+        assert table.expectation(np.log) == pytest.approx(-EULER_MASCHERONI, rel=1e-14)
+        assert len(points) == built
 
     @pytest.mark.parametrize("alpha, panels", [(10.0, 22), (100.0, 12)])
     def test_panels_split_at_a_sharp_peak(self, alpha, panels):

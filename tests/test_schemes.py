@@ -209,7 +209,7 @@ class TestOaCutoffSolve:
         assert worst_cut <= 1.2e-14
         assert worst_cap <= 9e-15
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         law=st.one_of(
             st.builds(_gamma_law, st.integers(2, 6)),
@@ -526,6 +526,22 @@ def test_oa_capacity_reads_each_cutoff_once(monkeypatch, law):
         assert result.capacity_nats == pytest.approx(fresh, rel=1e-14, abs=0.0), db
 
 
+LOW_SNR_LAWS = {
+    "gamma2": functools.partial(_gamma_law, 2),
+    "gamma64": functools.partial(_gamma_law, 64),
+    "maxexp1": functools.partial(_maxexp_law, 1),
+    "maxexp64": functools.partial(_maxexp_law, 64),
+    "miso22": functools.partial(_miso_law, 2, 2),
+    "miso64_4": functools.partial(_miso_law, 64, 4),
+    "frechet50": functools.partial(make_frechet, 50.0),
+    "frechet2.5_3": functools.partial(make_frechet, 2.5, 3),
+    "frechet1.01_8": functools.partial(make_frechet, 1.01, 8),
+    "tab3": lambda: make_tabulated(workloads.tab_grid(3)),
+    "gamma2_x1e9": functools.partial(_scaled_gamma_law, 2, 1e9),
+    "gamma2_x1e-9": functools.partial(_scaled_gamma_law, 2, 1e-9),
+}
+
+
 class TestOaCapacity:
     def test_deterministic_spike_matches_awgn(self):
         d = spike_at(2.0)
@@ -541,6 +557,19 @@ class TestOaCapacity:
     def test_beats_awgn_at_low_power(self, gamma2):
         S = 0.01
         assert oa_capacity(gamma2, S).capacity_nats > awgn_capacity(gamma2, S).capacity_nats
+
+    @pytest.mark.parametrize("name", sorted(LOW_SNR_LAWS))
+    def test_beats_awgn_ever_more_at_low_snr_on_every_family(self, name):
+        # the paper's low-SNR claim: fading helps OA, whose capacity falls
+        # more slowly than AWGN's as the SNR falls. At S E[z] = 1e-4, 1e-6
+        # and 1e-8 the ratios measured from 1.12 (frechet50, 1e-4) to 1325
+        # (frechet1.01_8, 1e-8)
+        law = LOW_SNR_LAWS[name]()
+        ratios = []
+        for k in (4, 6, 8):
+            S = 10.0 ** -k / law.mean
+            ratios.append(oa_capacity(law, S).capacity_nats / awgn_capacity(law, S).capacity_nats)
+        assert 1.0 < ratios[0] < ratios[1] < ratios[2], ratios
 
 
 class TestRaCapacity:
@@ -1093,7 +1122,7 @@ class TestProvedRelations:
     tolerances are the routes' accuracies: 1e-12 relative for the survival
     table and closed forms, 1e-9 where TCI or CTCI integrate by QUADPACK."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, derandomize=True)
     @given(law=LAWS, snr_db=SNRS_DB, cut=st.floats(-2.0, 0.0))
     def test_ordering(self, law, snr_db, cut):
         # CI <= RA: log(1 + S/x) is convex in x = 1/z (Jensen); OA is the
@@ -1110,14 +1139,31 @@ class TestProvedRelations:
         if law.mean_finite:
             assert _at_most(ra, awgn_capacity(law, S).capacity_nats, 1e-12)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, derandomize=True)
     @given(law=LAWS, snr_db=SNRS_DB, step_db=st.floats(0.0, 30.0))
     def test_oa_and_ra_do_not_decrease_in_power(self, law, snr_db, step_db):
         low, high = _power(snr_db), _power(min(snr_db + step_db, 90.0))
         for fn in (oa_capacity, ra_capacity):
             assert _at_most(fn(law, low).capacity_nats, fn(law, high).capacity_nats, 1e-12)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(law=LAWS, snr_db=SNRS_DB)
+    def test_ra_lies_within_its_log1p_bounds(self, law, snr_db):
+        # log(1 + Sz) = log S + log z + log1p(1/(Sz)), and
+        # 0 <= log1p(x) <= x: RA exceeds log S + E[log z] by at most
+        # E[1/z]/S, and is at most S E[z]. RA sums sf on the survival
+        # table; the moments are closed forms or the table's density sums
+        S = _power(snr_db)
+        ra = ra_capacity(law, S).capacity_nats
+        excess = ra - math.log(S) - law.log_mean
+        tol = 1e-12 * max(1.0, abs(ra), abs(math.log(S)))
+        assert excess >= -tol
+        if law.inverse_mean_finite:
+            assert excess <= law.inverse_mean / S + tol
+        if law.mean_finite:
+            assert ra <= S * law.mean + tol
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
     @given(law=BASE_LAWS, c=SCALES, snr_db=SNRS_DB)
     def test_scaled_law_is_the_base_law_at_scaled_power(self, law, c, snr_db):
         S = _power(snr_db)
