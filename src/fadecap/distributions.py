@@ -46,9 +46,8 @@ quadrature and no density. It also builds the law: a factory passes None
 for a moment with no closed form, and ``_validate`` takes it as one dot
 product with the density weights the table keeps at its nodes, whose
 panels lie between the law's knots, and checks the law's mass and mean
-there, with no adaptive quadrature and no further density evaluation. A
-tabulated law's knots are its grid, and a scaled law's are its base
-law's, scaled.
+there, with no adaptive quadrature and no second density pass. A
+tabulated law's knots are its grid, a scaled law's its base law's, scaled.
 The one expectation left, T(t) without a closed form, is
 ``FadingDistribution.expect``: QUADPACK over [t, support top).
 
@@ -310,12 +309,12 @@ def _validate(dist: FadingDistribution, sf_past_top: Callable = None) -> FadingD
     weights kept at the table's nodes (``SurvivalTable.expectation``),
     divided by the table's mass so that a density normalised some ulps off
     (MISO's float log Gamma(N)) does not skew it, and set on the law,
-    which is still being built. The mass is
-    the density summed on the nodes, plus F below the table
-    (``SurvivalTable.mass``). A finite mean is checked against the
-    integral of sf, an independent route: ``SurvivalTable.sf_integral()``,
-    plus ``sf_past_top(top)``, the integral of sf past the table's top in
-    closed form, where a heavy tail leaves a part of the mean there.
+    which is still being built. The mass is the density summed on the
+    nodes, plus F below the table (``SurvivalTable.mass``). A finite mean
+    is checked against the integral of sf, an independent route:
+    ``SurvivalTable.sf_integral()``, plus ``sf_past_top(top)``, the integral
+    of sf past the table's top in closed form, where a heavy tail leaves a
+    part of the mean there.
     """
     if abs(float(dist.cdf(0.0))) > 1e-12:
         raise ValueError(f"{dist.name}: cdf(0) must be 0")
@@ -359,9 +358,8 @@ _POISSON_SUM_MAX_T = 700.0
 
 
 def _poisson_tail(n: int, t):
-    """Q(n, t) = e^-t sum_{k<n} t^k / k! for integer n >= 1 and t >= 0, an
-    ``np.float64`` or an array, summed as positive terms (scipy's gammaincc
-    is 1e-13 off past t = 60); gammaincc past ``_POISSON_SUM_MAX_T``."""
+    """Q(n, t) = e^-t sum_{k<n} t^k / k! for integer n >= 1 and t > 0, an
+    ``np.float64`` or an array; scipy's gammaincc past ``_POISSON_SUM_MAX_T``."""
     summed = np.minimum(t, _POISSON_SUM_MAX_T)
     term = total = np.exp(-summed)
     for k in range(1, n):
@@ -391,7 +389,15 @@ def make_gamma_diversity(N) -> FadingDistribution:
     def tail_inverse(t):
         if N == 1:
             return float(special.exp1(t))
-        return float(_poisson_tail(N - 1, np.float64(t))) / (N - 1)
+        if t > _POISSON_SUM_MAX_T:
+            return float(special.gammaincc(N - 1, t)) / (N - 1)
+        # For an integer order Q(N-1, t) = e^-t sum_{k < N-1} t^k / k!, a sum
+        # of positive terms; scipy's gammaincc is 1e-13 off past t = 60.
+        term = total = math.exp(-t)
+        for k in range(1, N - 1):
+            term *= t / k
+            total += term
+        return total / (N - 1)
 
     def pdf(z):
         return _as_float_or_array(

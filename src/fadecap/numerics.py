@@ -20,12 +20,11 @@ panels from the top. Integration by parts writes the OA power constraint,
 the OA capacity, the RA capacity and the CTCI capacity as integrals of sf
 alone, with positive integrands: a table lookup plus one partial panel
 above a point, or a sum over the stored nodes below a cap plus one
-partial panel. The table also keeps the density's weight at every node,
-from the one pass that places the panels, so a law's moment without a
-closed form, an integral of g times the density over the whole table, is
-one dot product of those weights with g at the nodes and evaluates no
-density. The weights also give the law's mass, and the nodes' sf its
-mean, which the law checks when built.
+partial panel. The table keeps the density's weight at each node from
+the pass that places the panels, so a law's moment without a closed form,
+the integral of g times the density over the table, is one dot product
+with g at the nodes. The weights also give the law's mass, and the nodes'
+sf its mean, which the law checks when built.
 """
 
 from __future__ import annotations
@@ -244,11 +243,10 @@ class SurvivalTable:
     is taken as 1 there and P, C and RA have closed forms; above its top
     sf is taken as 0. ``mass`` is the density's integral over the nodes
     plus F(lo).
-    The density starts at ``bottom``: the smallest knot on a bounded
-    support (top < inf), and 0 on an unbounded one. When bottom < lo one
-    more 20-node panel in y itself over [bottom, lo], where F is under
-    ``SF_TABLE_CUT``, keeps w pdf(y) for ``expectation``; it is exact for a
-    density linear there times a g such as 1/y or y.
+    The density starts at the smallest knot when top < inf, at 0 otherwise;
+    below lo one more 20-node panel in y itself keeps w pdf(y) for
+    ``expectation``, exact for a density linear there times a g such as
+    1/y or y.
     """
 
     def __init__(self, sf: Callable, cdf: Callable, pdf: Callable, knots: Sequence[float] = (),
@@ -355,11 +353,9 @@ class SurvivalTable:
         return math.log1p(s * self.lo) + self._capped_sum(lambda y: s * y / (1.0 + s * y), cap)
 
     def expectation(self, g: Callable) -> float:
-        """Integral of g(y) pdf(y) from the density's bottom to the table's
-        top: g at every stored node, one call on an array, dotted with the
-        density weights kept when the table was built. Above the table's top
-        there is no mass left to add.
-        """
+        """Integral of g(y) pdf(y) from the density's start to the table's
+        top, past which no mass is left: g on every stored node, one call on
+        an array, dotted with the density weights kept at build."""
         return float(np.dot(self._w_pdf, g(self._pdf_y)))
 
 
