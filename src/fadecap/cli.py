@@ -28,7 +28,7 @@ import sys
 
 from . import verify as verify_mod
 from .asymptotics import gap_report
-from .distributions import DistributionSpec
+from .distributions import DISTRIBUTION_KINDS, DistributionSpec
 from .mc import mc_capacity
 from .numerics import QuadratureError
 from .schemes import Scheme, capacity
@@ -40,15 +40,11 @@ LN2 = math.log(2.0)
 MAX_SNR_GRID_POINTS = 100_000
 
 _KIND_ALIASES = {
+    **{kind: kind for kind in DISTRIBUTION_KINDS},
     "gamma": "gamma_diversity",
-    "gamma_diversity": "gamma_diversity",
     "maxexp": "max_exponential",
-    "max_exponential": "max_exponential",
-    "frechet": "frechet",
     "miso": "miso_multiuser",
-    "miso_multiuser": "miso_multiuser",
     "tab": "tabulated",
-    "tabulated": "tabulated",
 }
 
 _INT_KEYS = {"N", "K"}
@@ -226,18 +222,15 @@ def cmd_gaps(args) -> int:
     dist = parse_distribution_spec(args.dist).build()
     report = gap_report(dist)
     to_units = 1.0 if args.units == "nats" else 1.0 / LN2
-
-    def conv(x: float) -> float:
-        return x * to_units if math.isfinite(x) else x
-
     _emit_json(
         {
             "distribution": dist.name,
             "units": args.units,
-            "gap_oa_ra": conv(report.gap_oa_ra),
-            "gap_awgn_oa": conv(report.gap_awgn_oa),
-            "gap_oa_ci": conv(report.gap_oa_ci),
-            "gap_awgn_ci": conv(report.gap_awgn_ci),
+            # inf and nan times to_units > 0 are themselves
+            "gap_oa_ra": report.gap_oa_ra * to_units,
+            "gap_awgn_oa": report.gap_awgn_oa * to_units,
+            "gap_oa_ci": report.gap_oa_ci * to_units,
+            "gap_awgn_ci": report.gap_awgn_ci * to_units,
         }
     )
     return 0

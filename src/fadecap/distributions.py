@@ -4,8 +4,7 @@ The effective gain is the instantaneous SNR divided by the average
 transmit power, so its law is power-independent and the capacity
 routines take the power as a separate argument. Each model carries its
 density and distribution function, the moments the asymptotic analysis
-needs (E[z], E[1/z], E[log z]), the supremum of its support, the
-diversity order d governing CDF decay near zero (F(z) ~ z^d), and an
+needs (E[z], E[1/z], E[log z]), the supremum of its support, and an
 exact sampler.
 
 E[1/z] may be infinite (e.g. single-antenna Rayleigh); channel-inversion
@@ -197,7 +196,6 @@ class FadingDistribution:
     inverse_mean: float
     log_mean: float
     support_sup: float
-    diversity_order: float
     quad_knots: tuple = ()
     sampler: Callable = None
     tail_inverse: Optional[Callable] = None
@@ -288,7 +286,6 @@ class FadingDistribution:
             inverse_mean=base.inverse_mean / c,
             log_mean=base.log_mean + math.log(c),
             support_sup=c * base.support_sup,
-            diversity_order=base.diversity_order,
             quad_knots=tuple(c * k for k in base.quad_knots),
             sampler=scaled_sampler,
             tail_inverse=lambda t: base.tail_inverse_integral(t / c) / c,
@@ -378,7 +375,7 @@ def make_gamma_diversity(N) -> FadingDistribution:
     """Sum of N unit-rate exponentials: N-antenna beamforming gain.
 
     mean N, E[1/z] = 1/(N-1) for N >= 2 (infinite at N = 1),
-    E[log z] = psi(N), diversity order N. The tail functional is
+    E[log z] = psi(N). The tail functional is
     T(t) = Q(N-1, t)/(N-1) with Q the regularized upper incomplete Gamma,
     and E1(t) at N = 1; the survival function is Q(N, z), summed the same
     way.
@@ -420,7 +417,6 @@ def make_gamma_diversity(N) -> FadingDistribution:
         inverse_mean=1.0 / (N - 1) if N >= 2 else math.inf,
         log_mean=float(special.digamma(N)),
         support_sup=math.inf,
-        diversity_order=float(N),
         quad_knots=(0.5 * N, float(N), 2.0 * N + 2.0),
         sampler=lambda rng, n: _reduce_last_axis(np.add, rng.standard_exponential((n, N))),
         tail_inverse=tail_inverse,
@@ -436,7 +432,7 @@ def _harmonic(K: int) -> float:
 def make_max_exponential(K) -> FadingDistribution:
     """Maximum of K unit-rate exponentials: K-user selection gain.
 
-    mean is the K-th harmonic number; diversity order K. E[1/z] and
+    mean is the K-th harmonic number. E[1/z] and
     E[log z] have no stable closed form for general K (the alternating
     binomial sums cancel catastrophically), so from K = 3 up they are
     left to ``_validate``, which sums them on the survival table;
@@ -487,7 +483,6 @@ def make_max_exponential(K) -> FadingDistribution:
         inverse_mean=inverse_mean,
         log_mean=log_mean,
         support_sup=math.inf,
-        diversity_order=float(K),
         quad_knots=knots,
         sampler=sampler,
         sf=sf,
@@ -501,9 +496,7 @@ def make_frechet(alpha: float, K=1) -> FadingDistribution:
     The K-user maximum is the base law rescaled by K^(1/alpha):
     cdf exp(-K z^(-alpha)). mean = K^(1/alpha) Gamma(1 - 1/alpha) is
     finite only for alpha > 1; E[1/z] = K^(-1/alpha) Gamma(1 + 1/alpha)
-    is always finite; E[log z] = (log K + gamma_em) / alpha. The CDF
-    vanishes faster than any power at 0, so the diversity order is
-    infinite.
+    is always finite; E[log z] = (log K + gamma_em) / alpha.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
@@ -547,7 +540,6 @@ def make_frechet(alpha: float, K=1) -> FadingDistribution:
         inverse_mean=float(special.gamma(1.0 + 1.0 / alpha)) / scale,
         log_mean=(math.log(K) + EULER_MASCHERONI) / alpha,
         support_sup=math.inf,
-        diversity_order=math.inf,
         quad_knots=(0.5 * scale, scale, 4.0 * scale),
         sampler=sampler,
         sf=sf,
@@ -563,8 +555,7 @@ def make_miso_multiuser(N, K) -> FadingDistribution:
     pdf K P(N,z)^(K-1) z^(N-1) e^(-z) / Gamma(N), cdf P(N,z)^K, with P
     the regularized lower incomplete Gamma. E[1/z] is finite iff
     max(N, K) >= 2. The moments have no closed form, so they are left to
-    ``_validate``, which sums them on the survival table. Diversity
-    order N*K.
+    ``_validate``, which sums them on the survival table.
     """
     N = _check_positive_int(N, "N")
     K = _check_positive_int(K, "K")
@@ -605,7 +596,6 @@ def make_miso_multiuser(N, K) -> FadingDistribution:
         inverse_mean=None if max(N, K) >= 2 else math.inf,
         log_mean=None,
         support_sup=math.inf,
-        diversity_order=float(N * K),
         quad_knots=knots,
         sampler=lambda rng, n: _reduce_last_axis(
             np.maximum, _reduce_last_axis(np.add, rng.standard_exponential((n, K, N)))
@@ -761,8 +751,7 @@ def make_tabulated(grid) -> FadingDistribution:
     in closed form, and E[1/z] is T at the grid's first point. E[z] and
     E[log z] are summed on the survival table, whose panels lie within
     the segments, while the law is built (``_validate``). Sampling inverts the
-    piecewise-quadratic CDF, and the diversity order is estimated from the
-    log-log slope of the CDF over the 5 smallest usable grid points.
+    piecewise-quadratic CDF.
     """
     arr = np.asarray(grid, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 4:
@@ -781,15 +770,6 @@ def make_tabulated(grid) -> FadingDistribution:
         raise ValueError("tabulated grid has zero total mass")
 
     law = _TabulatedLaw(z, p, mass)
-
-    cdf_vals = law.cum
-    usable = (z > 0.0) & (cdf_vals > 0.0) & (cdf_vals < 1.0)
-    pts = np.nonzero(usable)[0][:5]
-    if len(pts) >= 2:
-        slope = float(np.polyfit(np.log(z[pts]), np.log(cdf_vals[pts]), 1)[0])
-    else:
-        slope = 1.0
-
     dist = FadingDistribution(
         name=f"tabulated({len(z)} pts on [{z[0]:g}, {z[-1]:g}])",
         # _TabulatedLaw.pdf is looked up on each call, so the benchmark's
@@ -800,7 +780,6 @@ def make_tabulated(grid) -> FadingDistribution:
         inverse_mean=law.tail_inverse(0.0),
         log_mean=None,
         support_sup=float(z[-1]),
-        diversity_order=slope,
         quad_knots=tuple(z),
         sampler=law.sample,
         tail_inverse=law.tail_inverse,

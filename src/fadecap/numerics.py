@@ -53,6 +53,10 @@ _QUAD_LIMIT = 250
 # below SF_TABLE_CUT and stops at the support top, or where the integral
 # of sf(y)/y dy above it drops below SF_TABLE_CUT.
 _SF_NODES, _SF_WEIGHTS = np.polynomial.legendre.leggauss(20)
+# The refinement below cannot place panels alone: it accepts a wide panel
+# whose whole and halved sums are wrong alike. From one panel per interval
+# between knots, gamma N=2 gets 10 panels (110 from 4 per unit) and MISO
+# (2, 2) 6 (64), and the 30-digit moment and capacity oracles fail.
 _PANELS_PER_UNIT = 4
 # A panel is split in two while its sum of w sf/y, w sf or w y pdf differs
 # from the sum over its halves by more than _SPLIT_ULPS ulps of the table's

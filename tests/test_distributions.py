@@ -67,7 +67,6 @@ class TestGammaDiversity:
         assert d.inverse_mean == pytest.approx(1.0, abs=1e-12)
         assert d.log_mean == pytest.approx(digamma(2.0), abs=1e-12)
         assert d.log_mean == pytest.approx(1.0 - GAMMA_EM, abs=1e-9)
-        assert d.diversity_order == 2.0
         assert math.isinf(d.support_sup)
 
     def test_n1_inversion_degenerate(self):
@@ -233,9 +232,6 @@ class TestMisoMultiuser:
         assert make_miso_multiuser(2, 1).inverse_mean_finite
         assert make_miso_multiuser(1, 2).inverse_mean_finite
 
-    def test_diversity_order(self):
-        assert make_miso_multiuser(3, 4).diversity_order == 12.0
-
 
 class TestTabulated:
     def test_exponential_grid_mean(self):
@@ -245,10 +241,6 @@ class TestTabulated:
         # density does not vanish at the origin, so E[1/z] diverges
         assert math.isinf(d.inverse_mean)
         assert d.support_sup == 40.0
-
-    def test_diversity_estimate_near_one(self):
-        d = make_tabulated(exp_grid(top=20.0, n=2000))
-        assert 0.9 < d.diversity_order < 1.1
 
     def test_spike_behaves_deterministically(self):
         d = make_tabulated(spike_grid(center=3.0))
@@ -656,7 +648,6 @@ def test_tail_inverse_integral_on_a_bounded_law_without_a_closed_form():
         inverse_mean=math.log(2.0),
         log_mean=2.0 * math.log(2.0) - 1.0,
         support_sup=2.0,
-        diversity_order=math.inf,
         quad_knots=(1.0, 2.0),
     )
     for t in (1.0, 1.25, 1.5, 1.9, 1.999):
@@ -751,7 +742,6 @@ class TestSharedInvariants:
             assert s.mean == pytest.approx(c * d.mean, rel=1e-10)
             assert s.inverse_mean == pytest.approx(d.inverse_mean / c, rel=1e-10)
             assert s.log_mean == pytest.approx(d.log_mean + math.log(c), abs=1e-10)
-            assert s.diversity_order == d.diversity_order
             z = 1.3 * c
             assert s.cdf(z) == pytest.approx(d.cdf(1.3), rel=1e-12)
             assert s.pdf(z) * c == pytest.approx(d.pdf(1.3), rel=1e-12)
@@ -767,7 +757,7 @@ class TestSharedInvariants:
                 mean=0.5):
             return FadingDistribution(
                 name="nan-law", pdf=pdf, cdf=lambda z: np.clip(z, 0.0, 1.0), sf=sf, mean=mean,
-                inverse_mean=math.inf, log_mean=-1.0, support_sup=1.0, diversity_order=1.0,
+                inverse_mean=math.inf, log_mean=-1.0, support_sup=1.0,
                 quad_knots=(0.0, 1.0),
             )
 

@@ -1116,6 +1116,19 @@ def _at_most(a, b, rel):
     return a <= b + rel * max(1.0, abs(b))
 
 
+def _assert_log1p_bounds(C, S, log_x_mean, inverse_x_mean, x_mean):
+    # C = E[log(1 + S X)] = log S + E[log X] + E[log1p(1/(S X))], and
+    # 0 <= log1p(x) <= x: C exceeds log S + E[log X] by at most E[1/X]/S,
+    # and is at most S E[X]. An infinite moment bounds nothing
+    excess = C - math.log(S) - log_x_mean
+    tol = 1e-12 * max(1.0, abs(C), abs(math.log(S)))
+    assert excess >= -tol
+    if math.isfinite(inverse_x_mean):
+        assert excess <= inverse_x_mean / S + tol
+    if math.isfinite(x_mean):
+        assert C <= S * x_mean + tol
+
+
 class TestProvedRelations:
     """Relations that hold for every law; each side is computed by its own
     route, so the checks are independent of each other's numerics. The
@@ -1149,26 +1162,41 @@ class TestProvedRelations:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(law=LAWS, snr_db=SNRS_DB)
     def test_ra_lies_within_its_log1p_bounds(self, law, snr_db):
-        # log(1 + Sz) = log S + log z + log1p(1/(Sz)), and
-        # 0 <= log1p(x) <= x: RA exceeds log S + E[log z] by at most
-        # E[1/z]/S, and is at most S E[z]. RA sums sf on the survival
-        # table; the moments are closed forms or the table's density sums
+        # X = z. RA sums sf on the survival table; the moments are closed
+        # forms or the table's density sums
         S = _power(snr_db)
-        ra = ra_capacity(law, S).capacity_nats
-        excess = ra - math.log(S) - law.log_mean
-        tol = 1e-12 * max(1.0, abs(ra), abs(math.log(S)))
-        assert excess >= -tol
-        if law.inverse_mean_finite:
-            assert excess <= law.inverse_mean / S + tol
-        if law.mean_finite:
-            assert ra <= S * law.mean + tol
+        _assert_log1p_bounds(ra_capacity(law, S).capacity_nats, S,
+                             law.log_mean, law.inverse_mean, law.mean)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(law=BASE_LAWS, c=SCALES, snr_db=SNRS_DB)
-    def test_scaled_law_is_the_base_law_at_scaled_power(self, law, c, snr_db):
+    @given(law=LAWS, snr_db=SNRS_DB, cut=st.floats(-2.0, 0.0))
+    def test_ctci_lies_within_its_log1p_bounds(self, law, snr_db, cut):
+        # X = D_max min(z, z_t), whose moments come from the law's moments,
+        # T and the table's tails, not from CTCI's capped log1p sum:
+        # E[log min(z, z_t)] = E[log z] - C(z_t), with C(z_t) =
+        # E[log(z/z_t); z > z_t]; E[1/min(z, z_t)] = E[1/z] - T(z_t) +
+        # sf(z_t)/z_t; E[min(z, z_t)] is the integral of sf over [0, z_t]
+        S, z_t = _power(snr_db), math.exp(law.log_mean) * 10.0 ** cut
+        result = ctci_capacity(law, S, z_t)
+        d_max, table = result.d_max, law.survival_table
+        inverse_min = (law.inverse_mean - law.tail_inverse_integral(z_t)
+                       + float(law.sf(z_t)) / z_t)
+        _assert_log1p_bounds(result.capacity_nats, S,
+                             math.log(d_max) + law.log_mean - table.tails(z_t)[1],
+                             inverse_min / d_max, d_max * table.sf_integral(z_t))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(law=BASE_LAWS, c=SCALES, snr_db=SNRS_DB, cut=st.floats(-2.0, 0.0))
+    def test_scaled_law_is_the_base_law_at_scaled_power(self, law, c, snr_db, cut):
         S = _power(snr_db)
         scaled = _scaled(law, c)
         for fn in (oa_capacity, ra_capacity):
             got, expected = fn(scaled, S).capacity_nats, fn(law, c * S).capacity_nats
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-300), fn.__name__
         assert oa_threshold(scaled, S).z_t == pytest.approx(c * oa_threshold(law, c * S).z_t, rel=1e-12)
+        # a threshold scales with the gain; the scaled law's T maps the base
+        # law's, and its table is built on its own
+        z_t = math.exp(law.log_mean) * 10.0 ** cut
+        for fn in (tci_capacity, ctci_capacity):
+            got, expected = fn(scaled, S, c * z_t).capacity_nats, fn(law, c * S, z_t).capacity_nats
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-300), fn.__name__

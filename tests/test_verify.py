@@ -20,17 +20,22 @@ import workloads  # perfbench/workloads.py; pyproject.toml puts perfbench/ on th
 
 
 @pytest.mark.parametrize("spec", [
-    "gamma:N=2", "gamma:N=1", "maxexp:K=1", "frechet:alpha=0.8", "frechet:alpha=1.01,K=8",
-    "frechet:alpha=50", "miso:N=64,K=4",
+    "gamma:N=2", "gamma:N=1", "maxexp:K=1", "maxexp:K=4", "frechet:alpha=0.8",
+    "frechet:alpha=1.01,K=8", "frechet:alpha=2.5,K=3", "frechet:alpha=50", "miso:N=2,K=2",
+    "miso:N=64,K=4", "tab:path={tab3}", "gamma:N=3,scale=2",
     "gamma:N=2,scale=1e-6", "maxexp:K=1,scale=1e-3", "gamma:N=2,scale=1e9",
 ])
-def test_fast_level_all_pass(spec):
+def test_fast_level_all_pass(spec, tmp_path):
     # frechet(1.01, 8) is in the heavy-tail domain: at S = 1e-6 its RA
     # capacity over S is 90, far from the slope E[z] = 787, and only a bound
     # that holds at every S, not a limit, can pass there. The scaled laws
     # hold no mass above 1, or nearly all of it: the checks' threshold is
-    # the law's geometric mean, not a fixed 1
-    results = run_checks(parse_distribution_spec(spec).build(), level="fast")
+    # the law's geometric mean, not a fixed 1. The tabulated law is the
+    # benchmark's seed-3 grid, written as a CSV of float reprs
+    tab3 = tmp_path / "tab3.csv"
+    tab3.write_text("".join(f"{z!r},{p!r}\n" for z, p in workloads.tab_grid(3)),
+                    encoding="utf-8")
+    results = run_checks(parse_distribution_spec(spec.format(tab3=tab3)).build(), level="fast")
     assert results, "no checks ran"
     failed = [r.name for r in results if not r.passed]
     assert not failed, failed
