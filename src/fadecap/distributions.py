@@ -141,11 +141,21 @@ def _as_float_or_array(z, compute_pos, at_zero: float = 0.0):
 
 def _survival(z, compute_pos):
     """A survival function 1 - F through ``_as_float_or_array``: 1 at z <= 0,
-    where F is 0, ``compute_pos`` on the finite z > 0 and its limit at +inf.
-    NaN maps to 0, as it does for the density and the CDF."""
+    where F is 0, and 0 at NaN, as the density and the CDF read there."""
     if isinstance(z, float):
         return 1.0 if z < 0.0 else _as_float_or_array(z, compute_pos, 1.0)
     return _as_float_or_array(np.maximum(z, 0.0), compute_pos, 1.0)
+
+
+def _closed_forms(density, cdf, sf, at_zero: float = 0.0) -> dict:
+    """A law's ``pdf``, ``cdf`` and ``sf`` fields from closed forms on finite z > 0.
+    Below 0 and at NaN the density and F read 0 and sf 1 and 0; at z = 0 they
+    read ``at_zero``, 0 and 1; at +inf they take their limits."""
+
+    def pdf(z):  # the benchmark counts density points in code named pdf
+        return _as_float_or_array(z, density, at_zero)
+
+    return dict(pdf=pdf, cdf=lambda z: _as_float_or_array(z, cdf), sf=lambda z: _survival(z, sf))
 
 
 # numpy sums an axis of fewer than 8 entries left to right and a longer one
@@ -362,7 +372,10 @@ def _poisson_tail(n: int, t):
     for k in range(1, n):
         term = term * summed / k
         total = total + term
-    return np.where(t > _POISSON_SUM_MAX_T, special.gammaincc(n, t), total)
+    # scipy only when some t needs it: it would run on every element
+    if np.any(t > _POISSON_SUM_MAX_T):
+        return np.where(t > _POISSON_SUM_MAX_T, special.gammaincc(n, t), total)
+    return total
 
 
 def _log1mexp(z):
@@ -396,23 +409,14 @@ def make_gamma_diversity(N) -> FadingDistribution:
             total += term
         return total / (N - 1)
 
-    def pdf(z):
-        return _as_float_or_array(
-            z,
-            lambda zp: np.exp((N - 1) * np.log(zp) - zp - lg),
-            at_zero=1.0 if N == 1 else 0.0,
-        )
-
-    def cdf(z):
-        return _as_float_or_array(z, lambda zp: special.gammainc(N, zp))
-
-    def sf(z):
-        return _survival(z, lambda zp: _poisson_tail(N, zp))
-
     dist = FadingDistribution(
         name=f"gamma_diversity(N={N})",
-        pdf=pdf,
-        cdf=cdf,
+        **_closed_forms(
+            lambda zp: np.exp((N - 1) * np.log(zp) - zp - lg),
+            lambda zp: special.gammainc(N, zp),
+            lambda zp: _poisson_tail(N, zp),
+            at_zero=1.0 if N == 1 else 0.0,
+        ),
         mean=float(N),
         inverse_mean=1.0 / (N - 1) if N >= 2 else math.inf,
         log_mean=float(special.digamma(N)),
@@ -420,7 +424,6 @@ def make_gamma_diversity(N) -> FadingDistribution:
         quad_knots=(0.5 * N, float(N), 2.0 * N + 2.0),
         sampler=lambda rng, n: _reduce_last_axis(np.add, rng.standard_exponential((n, N))),
         tail_inverse=tail_inverse,
-        sf=sf,
     )
     return _validate(dist)
 
@@ -439,20 +442,6 @@ def make_max_exponential(K) -> FadingDistribution:
     K = 1, 2 have exact values.
     """
     K = _check_positive_int(K, "K")
-
-    # 1 - e^(-z) as -expm1(-z): forming it from exp(-z) cancels for small z
-    def pdf(z):
-        return _as_float_or_array(
-            z,
-            lambda zp: K * np.exp(-zp + (K - 1) * np.log(-np.expm1(-zp))),
-            at_zero=1.0 if K == 1 else 0.0,
-        )
-
-    def cdf(z):
-        return _as_float_or_array(z, lambda zp: np.exp(K * np.log(-np.expm1(-zp))))
-
-    def sf(z):
-        return _survival(z, lambda zp: -np.expm1(K * _log1mexp(zp)))
 
     mean = _harmonic(K)
     knots = (0.5 * mean, mean, mean + 4.0)
@@ -477,15 +466,19 @@ def make_max_exponential(K) -> FadingDistribution:
 
     dist = FadingDistribution(
         name=f"max_exponential(K={K})",
-        pdf=pdf,
-        cdf=cdf,
+        # 1 - e^(-z) as -expm1(-z): forming it from exp(-z) cancels for small z
+        **_closed_forms(
+            lambda zp: K * np.exp(-zp + (K - 1) * np.log(-np.expm1(-zp))),
+            lambda zp: np.exp(K * np.log(-np.expm1(-zp))),
+            lambda zp: -np.expm1(K * _log1mexp(zp)),
+            at_zero=1.0 if K == 1 else 0.0,
+        ),
         mean=mean,
         inverse_mean=inverse_mean,
         log_mean=log_mean,
         support_sup=math.inf,
         quad_knots=knots,
         sampler=sampler,
-        sf=sf,
     )
     return _validate(dist)
 
@@ -508,18 +501,6 @@ def make_frechet(alpha: float, K=1) -> FadingDistribution:
         with np.errstate(over="ignore"):
             return K * zp ** (-alpha)
 
-    def pdf(z):
-        return _as_float_or_array(
-            z,
-            lambda zp: alpha * K * np.exp(-(alpha + 1) * np.log(zp) - k_inv_power(zp)),
-        )
-
-    def cdf(z):
-        return _as_float_or_array(z, lambda zp: np.exp(-k_inv_power(zp)))
-
-    def sf(z):
-        return _survival(z, lambda zp: -np.expm1(-k_inv_power(zp)))
-
     mean = scale * float(special.gamma(1.0 - 1.0 / alpha)) if alpha > 1.0 else math.inf
 
     def sampler(rng, n):
@@ -534,15 +515,17 @@ def make_frechet(alpha: float, K=1) -> FadingDistribution:
 
     dist = FadingDistribution(
         name=f"frechet(alpha={alpha},K={K})",
-        pdf=pdf,
-        cdf=cdf,
+        **_closed_forms(
+            lambda zp: alpha * K * np.exp(-(alpha + 1) * np.log(zp) - k_inv_power(zp)),
+            lambda zp: np.exp(-k_inv_power(zp)),
+            lambda zp: -np.expm1(-k_inv_power(zp)),
+        ),
         mean=mean,
         inverse_mean=float(special.gamma(1.0 + 1.0 / alpha)) / scale,
         log_mean=(math.log(K) + EULER_MASCHERONI) / alpha,
         support_sup=math.inf,
         quad_knots=(0.5 * scale, scale, 4.0 * scale),
         sampler=sampler,
-        sf=sf,
     )
     # past the table's top sf is K z^-alpha to within a part in 1e20
     rest = (lambda top: K * top ** (1.0 - alpha) / (alpha - 1.0)) if alpha > 1.0 else None
@@ -561,37 +544,32 @@ def make_miso_multiuser(N, K) -> FadingDistribution:
     K = _check_positive_int(K, "K")
     lg = special.gammaln(N)
 
-    def pdf(z):
-        def positive(zp):
-            # P(N, z) underflows to 0 for tiny z when N >= 2. Flooring it at
-            # the least subnormal keeps log P finite: for K >= 2 the density
-            # still underflows to 0 there, and for K = 1 it does not use P.
-            p = np.fmax(special.gammainc(N, zp), math.ulp(0.0))
-            return K * np.exp((K - 1) * np.log(p) + (N - 1) * np.log(zp) - zp - lg)
+    def density(zp):
+        # P(N, z) underflows to 0 for tiny z when N >= 2. Flooring it at
+        # the least subnormal keeps log P finite: for K >= 2 the density
+        # still underflows to 0 there, and for K = 1 it does not use P.
+        p = np.fmax(special.gammainc(N, zp), math.ulp(0.0))
+        return K * np.exp((K - 1) * np.log(p) + (N - 1) * np.log(zp) - zp - lg)
 
-        return _as_float_or_array(z, positive, at_zero=1.0 if N == 1 and K == 1 else 0.0)
-
-    def cdf(z):
-        return _as_float_or_array(z, lambda zp: special.gammainc(N, zp) ** K)
-
-    def sf(z):
-        def positive(zp):
-            # 1 - P^K as -expm1(K log P), with log P = log1p(-Q) where P > 1/2.
-            # Q is clamped at 1: where P is near 0 the sum can round past it,
-            # and log1p(-Q) is read only where P > 1/2.
-            p, q = special.gammainc(N, zp), _poisson_tail(N, zp)
-            with np.errstate(divide="ignore"):
-                log_p = np.where(p > 0.5, np.log1p(-np.fmin(q, 1.0)), np.log(p))
-            return -np.expm1(K * log_p)
-
-        return _survival(z, positive)
+    def survival(zp):
+        # 1 - P^K as -expm1(K log P), with log P = log1p(-Q) where P > 1/2.
+        # Q is clamped at 1: where P is near 0 the sum can round past it,
+        # and log1p(-Q) is read only where P > 1/2.
+        p, q = special.gammainc(N, zp), _poisson_tail(N, zp)
+        with np.errstate(divide="ignore"):
+            log_p = np.where(p > 0.5, np.log1p(-np.fmin(q, 1.0)), np.log(p))
+        return -np.expm1(K * log_p)
 
     rough_center = N + math.log(K) + 1.0
     knots = (0.5 * N, rough_center, 2.0 * rough_center + 2.0)
     dist = FadingDistribution(
         name=f"miso_multiuser(N={N},K={K})",
-        pdf=pdf,
-        cdf=cdf,
+        **_closed_forms(
+            density,
+            lambda zp: special.gammainc(N, zp) ** K,
+            survival,
+            at_zero=1.0 if N == 1 and K == 1 else 0.0,
+        ),
         mean=None,
         inverse_mean=None if max(N, K) >= 2 else math.inf,
         log_mean=None,
@@ -600,7 +578,6 @@ def make_miso_multiuser(N, K) -> FadingDistribution:
         sampler=lambda rng, n: _reduce_last_axis(
             np.maximum, _reduce_last_axis(np.add, rng.standard_exponential((n, K, N)))
         ),
-        sf=sf,
     )
     return _validate(dist)
 

@@ -3,6 +3,7 @@ samplers and the tabulated/CSV path."""
 
 import dataclasses
 import math
+import sys
 import warnings
 from functools import cache, partial
 
@@ -810,11 +811,12 @@ class TestDistributionSpec:
 
 
 # Scalar arguments take a direct path through _as_float_or_array; an
-# array argument takes the masked array path. Both must give one law.
+# array argument takes the masked array path. Both must give one law. The
+# points past 700 reach the gamma and MISO survival functions' gammaincc.
 AGREEMENT_POINTS = np.concatenate((
     [-1.0, 0.0, 5e-324, 1e-300, 1e-20, 1e-8],
     np.geomspace(1e-6, 80.0, 2000),
-    [700.0, math.nan],
+    [700.0, 700.5, 750.0, 1e3, 1e5, math.nan],
 ))
 
 
@@ -914,8 +916,10 @@ def infinity_laws():
     return [
         make_gamma_diversity(1),
         make_gamma_diversity(3),
+        make_max_exponential(1),
         make_max_exponential(4),
         make_frechet(2.0, 4),
+        make_frechet(0.8),
         make_miso_multiuser(1, 1),
         make_miso_multiuser(2, 2),
         make_tabulated(np.column_stack([grid, grid * np.exp(-grid)])),
@@ -923,11 +927,18 @@ def infinity_laws():
     ]
 
 
+# the laws whose density is positive at z = 0: there it is 1
+POSITIVE_AT_ZERO = {"gamma_diversity(N=1)", "max_exponential(K=1)", "miso_multiuser(N=1,K=1)"}
+
+
 @pytest.mark.parametrize("law", infinity_laws(), ids=lambda d: d.name)
 def test_limits_at_infinity(law):
     # the density's limit is 0 and the CDF's is 1, on the scalar and the
     # array path alike; a NaN or a RuntimeWarning on the way fails. A NaN
-    # or negative argument gives 0 to both.
+    # or negative argument gives 0 to both. At z = 0 the density takes its
+    # limit there.
+    at_zero = 1.0 if law.name in POSITIVE_AT_ZERO else 0.0
+    assert law.pdf(0.0) == at_zero and np.array_equal(law.pdf(np.array([0.0])), [at_zero])
     assert law.pdf(math.inf) == 0.0
     assert law.cdf(math.inf) == 1.0
     for bad in (math.nan, -1.0):
@@ -943,9 +954,44 @@ def test_limits_at_infinity(law):
 
 @pytest.mark.parametrize("law", infinity_laws(), ids=lambda d: d.name)
 def test_survival_function_limits(law):
-    # sf is 1 at z = 0 and 0 at z = inf, on the scalar and the array path
-    assert law.sf(0.0) == 1.0 and law.sf(math.inf) == 0.0
-    assert np.array_equal(law.sf(np.array([0.0, math.inf])), [1.0, 0.0])
+    # sf is 1 at z <= 0 and 0 at z = inf and at NaN, on the scalar and the
+    # array path
+    assert law.sf(-1.0) == law.sf(0.0) == 1.0
+    assert law.sf(math.inf) == law.sf(math.nan) == 0.0
+    assert np.array_equal(law.sf(np.array([-1.0, 0.0, math.inf, math.nan])), [1.0, 1.0, 0.0, 0.0])
+
+
+def closed_form_laws():
+    return [
+        make_gamma_diversity(1),
+        make_gamma_diversity(2),
+        make_max_exponential(1),
+        make_max_exponential(4),
+        make_frechet(2.0, 4),
+        make_miso_multiuser(1, 1),
+        make_miso_multiuser(2, 2),
+    ]
+
+
+@pytest.mark.parametrize("law", closed_form_laws(), ids=lambda d: d.name)
+def test_only_the_density_reaches_the_evaluator_from_code_named_pdf(monkeypatch, law):
+    # perfbench's density-point counter counts the calls that reach
+    # _as_float_or_array from a frame whose code is named pdf
+    callers = []
+    evaluate = distributions._as_float_or_array
+
+    def spy(z, compute_pos, at_zero=0.0):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return evaluate(z, compute_pos, at_zero)
+
+    monkeypatch.setattr(distributions, "_as_float_or_array", spy)
+    z = np.array([0.0, 0.5, 2.0, math.inf])
+    law.pdf(0.5), law.pdf(z)
+    assert callers == ["pdf", "pdf"]
+    callers.clear()
+    for f in (law.cdf, law.sf):
+        f(0.5), f(z)
+    assert len(callers) == 4 and "pdf" not in callers, callers
 
 
 # sf = 1 - F, against 30-digit references up where F is near 1. Worst
