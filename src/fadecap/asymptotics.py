@@ -34,9 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import special
-
-from .distributions import FadingDistribution, _check_positive_int
+from .distributions import FadingDistribution, _check_positive_int, _digamma_gap
 from .numerics import EULER_MASCHERONI
 from .schemes import Scheme, ctci_dmax, tci_dmax
 
@@ -101,7 +99,7 @@ def space_diversity_gaps(N) -> SpaceDiversityGaps:
     """
     N = _check_positive_int(N, "N", minimum=2)
     return SpaceDiversityGaps(
-        gap_oa_ci=float(special.digamma(N)) - math.log(N - 1),
+        gap_oa_ci=_digamma_gap(N),
         gap_awgn_ci=math.log1p(1.0 / (N - 1)),
         expansion_oa_ci=0.5 / (N - 1),
         expansion_awgn_ci=1.0 / (N - 1),

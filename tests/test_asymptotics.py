@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import digamma
@@ -154,6 +155,15 @@ class TestDiversityScaling:
         assert g.gap_awgn_ci == pytest.approx(math.log(2.0), abs=1e-12)
         assert g.expansion_oa_ci == 0.5
         assert g.expansion_awgn_ci == 1.0
+
+    @pytest.mark.parametrize("N", [2, 3, 10, 64, 10**3, 10**6, 10**8])
+    def test_space_diversity_oa_ci_gap_matches_30_digit_oracle(self, N):
+        # psi(N) - log(N - 1) formed as a difference cancels: scipy's digamma
+        # minus log(N - 1) is 5.4e-14 off at N = 64, 9.7e-13 at 1e3, 9.7e-10
+        # at 1e6 and 7.4e-8 at 1e8. Worst measured here: 2.4e-16
+        with mpmath.workdps(30):
+            exact = mpmath.digamma(N) - mpmath.log(N - 1)
+            assert abs(space_diversity_gaps(N).gap_oa_ci - exact) <= 2e-15 * exact
 
     def test_large_n_expansion_remainder(self):
         g = space_diversity_gaps(100)

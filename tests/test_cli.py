@@ -192,15 +192,16 @@ class TestCapacityCommand:
         )
 
 
-# Run in a fresh interpreter: builds one law of each kind, sweeps the six
-# default schemes and tci:opt on gamma:N=2 and a tabulated law and runs
-# `verify --level fast` on both, then prints the scipy modules it holds
-# that law construction, such sweeps and the fast checks do not need.
+# Run in a fresh interpreter: builds one law of each kind and gamma:N=1,
+# gamma:N=64 and miso:N=64,K=4, sweeps the six default schemes and tci:opt
+# on gamma:N=2 and a tabulated law and runs `verify --level fast` on both,
+# then prints every scipy module it holds: none of that needs scipy.
 FRESH_SWEEP = """
 import contextlib, io, sys
 import fadecap.cli as cli
 tab = "tab:path=" + sys.argv[1]
-for spec in ("gamma:N=2", "maxexp:K=4", "miso:N=2,K=2", "frechet:alpha=0.8", tab):
+for spec in ("gamma:N=2", "maxexp:K=4", "miso:N=2,K=2", "frechet:alpha=0.8", tab,
+             "gamma:N=1", "gamma:N=64", "miso:N=64,K=4"):
     cli.parse_distribution_spec(spec).build()
 for spec in ("gamma:N=2", tab):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -209,16 +210,15 @@ for spec in ("gamma:N=2", tab):
         assert cli.main(["sweep", "--dist", spec, "--schemes", "ci,tci:zt=1,tci:opt",
                          "--snr-db=0:30:5"]) == 0
         assert cli.main(["verify", "--dist", spec, "--level", "fast"]) == 0
-print(",".join(m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg")
-               if m in sys.modules))
+print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
 def test_builds_and_default_sweeps_import_no_quadrature_or_optimizer(tmp_path):
-    # scipy.integrate is imported on first use, and fadecap imports no
-    # scipy.optimize (which pulls in scipy.linalg): no law construction, no
-    # sweep (tci:opt included) and no fast check on a law with a closed-form
-    # T needs them
+    # fadecap evaluates its special functions itself and imports
+    # scipy.integrate only for QUADPACK's T on a law without a closed form:
+    # no law construction, no sweep (tci:opt included) and no fast check on
+    # a law with a closed-form T needs any scipy module
     tab3 = tmp_path / "tab3.csv"
     tab3.write_text("".join(f"{z!r},{p!r}\n" for z, p in workloads.tab_grid(3)),
                     encoding="utf-8")

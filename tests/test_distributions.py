@@ -19,6 +19,9 @@ from fadecap import distributions, numerics
 from fadecap.distributions import (
     DistributionSpec,
     FadingDistribution,
+    _digamma,
+    _exp1,
+    _IncompleteGamma,
     _validate,
     load_tabulated_csv,
     make_frechet,
@@ -478,7 +481,7 @@ def _gamma_tail_oracle(N, t):
 
 @pytest.mark.parametrize("N", range(1, 7))
 def test_gamma_tail_functional_matches_30_digit_oracle(N):
-    # worst measured: 1.1e-15 (N = 1, E1 from scipy), 2.8e-16 otherwise
+    # worst measured: 2.8e-16
     law = make_gamma_diversity(N)
     with mpmath.workdps(oracles.DPS):
         for t in GAMMA_TAIL_POINTS:
@@ -1035,3 +1038,105 @@ def test_survival_function_matches_30_digit_oracle(name):
         for z in points:
             ref = exact(mpmath.mpf(float(z)))
             assert float(abs(law.sf(float(z)) - ref) / ref) <= 1e-15, z
+
+
+# The special functions fadecap computes itself, against 30-digit mpmath.
+# An error is relative, and relative to the least normal float where the
+# exact value is subnormal.
+def _special_err(got, exact):
+    return float(abs(mpmath.mpf(float(got)) - exact) / max(abs(exact), sys.float_info.min))
+
+
+def _incomplete_gamma_grid(N):
+    near = N * (1.0 + np.array([-0.5, -0.1, -1e-3, -1e-6, -1e-12, 0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.5]))
+    edges = [np.nextafter(N, 0.0), np.nextafter(N, 2.0 * N), 700.0, 700.5]
+    return np.unique(np.concatenate((np.geomspace(1e-300, 1e3, 161), near, edges)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 8, 64])
+def test_incomplete_gamma_matches_30_digit_oracle_at_least_as_tightly_as_scipy(N):
+    # P and Q on each path: a float, an array of 20 points (the matrix of
+    # powers) and the whole grid in one array (Horner's rule), from 1e-300,
+    # where P = z^N / N! is subnormal or 0, to 1e3, where Q is, and around
+    # z = N, where P's series hands over to 1 - Q. Worst measured: 3.2e-15
+    # (Q(64, .) near 64 on an array), 1.1e-15 elsewhere at N = 64 and
+    # 3.9e-16 below it. scipy's own worst on this grid is 3.8e-14 or more.
+    from scipy import special
+
+    law = _IncompleteGamma(N)
+    z = _incomplete_gamma_grid(N)
+    whole = law.pq(z)
+    assert np.array_equal(law.p(z), whole[0])
+    panels = [law.pq(z[i:i + 20]) for i in range(0, z.size, 20)]
+    paths = {
+        "float": np.array([law.pq(float(v)) for v in z]).T,
+        "panel": np.array([np.concatenate(part) for part in zip(*panels)]),
+        "array": np.array(whole),
+        "scipy": np.array([special.gammainc(N, z), special.gammaincc(N, z)]),
+    }
+    worst = {name: [0.0, 0.0] for name in paths}
+    with mpmath.workdps(oracles.DPS):
+        for i, v in enumerate(z):
+            x = mpmath.mpf(float(v))
+            exact = (mpmath.gammainc(N, 0, x, regularized=True),
+                     mpmath.gammainc(N, x, mpmath.inf, regularized=True))
+            for name, values in paths.items():
+                for j in (0, 1):
+                    worst[name][j] = max(worst[name][j], _special_err(values[j][i], exact[j]))
+    for name in ("float", "panel", "array"):
+        for j, fn in enumerate("PQ"):
+            assert worst[name][j] <= min(worst["scipy"][j], 4e-15), (name, fn, worst)
+
+
+@pytest.mark.parametrize("N", [1, 2, 4, 64])
+def test_poisson_tail_past_700_keeps_its_digits_to_the_subnormals(N):
+    # Q(N, t) = e^-t sum_{k<N} t^k / k! is summed from its largest term in
+    # the float and the array path; scipy's gammaincc was 4.5e-14 off at
+    # t = 700.5 and read 0 at 750, where Q(2, 750) = 1.4e-323 and
+    # Q(4, 750) = 1.3e-318. Worst measured: 3.9e-16, and within half a
+    # subnormal's spacing where Q is subnormal.
+    law = _IncompleteGamma(N)
+    t = np.array([700.5, 750.0, 1e3])
+    batch = law.q(t)
+    with mpmath.workdps(oracles.DPS):
+        half_spacing = mpmath.mpf(math.ulp(0.0)) / 2
+        for v, got_array in zip(t, batch):
+            exact = mpmath.gammainc(N, mpmath.mpf(v), mpmath.inf, regularized=True)
+            for got in (got_array, law.q(float(v))):
+                assert abs(mpmath.mpf(float(got)) - exact) <= 1e-15 * exact + half_spacing, v
+    if N in (2, 4):
+        assert law.q(750.0) > 0.0 and batch[1] > 0.0
+
+
+def test_exponential_integral_matches_30_digit_oracle():
+    # E1 is gamma:N=1's tail functional; worst measured 6e-16, at t = 0.6
+    t = np.concatenate((np.geomspace(1e-300, 700.0, 301), np.linspace(0.3, 3.0, 55)))
+    with mpmath.workdps(oracles.DPS):
+        for v in t:
+            assert _special_err(_exp1(float(v)), mpmath.e1(mpmath.mpf(float(v)))) <= 1e-15, v
+
+
+def test_log_gamma_gamma_and_digamma_match_30_digit_oracles():
+    # the factories' log Gamma(N) and psi(N) at integer N, and Frechet's
+    # Gamma(1 - 1/alpha) (alpha > 1) and Gamma(1 + 1/alpha), at the float
+    # arguments they take
+    with mpmath.workdps(oracles.DPS):
+        for N in [*range(1, 201), 10**3, 10**6, 10**8]:
+            assert abs(math.lgamma(N) - mpmath.loggamma(N)) <= 1e-15 * max(1.0, math.lgamma(N)), N
+            assert _special_err(_digamma(N), mpmath.digamma(N)) <= 4e-16, N
+        for alpha in np.geomspace(0.1, 100.0, 61):
+            for x in (1.0 + 1.0 / alpha, 1.0 - 1.0 / alpha):
+                if x > 0.0:
+                    assert _special_err(math.gamma(x), mpmath.gamma(mpmath.mpf(x))) <= 1e-15, x
+
+
+def test_miso_survival_raises_no_warning_where_the_poisson_tail_rounds_past_one():
+    # below z = 2.4e-4 the sum Q(64, z) rounds to 1 + 4.4e-16, where
+    # miso:N=64,K=4's survival function clamps it at 1 before its log1p
+    law = make_miso_multiuser(64, 4)
+    z = np.geomspace(1e-300, 2.4e-4, 101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [law.sf(z), law.sf(z[:20]), np.array([law.sf(float(v)) for v in z])]
+    for got in values:
+        assert np.all(got == 1.0)
