@@ -54,7 +54,9 @@ panels lie between the law's knots, and checks the law's mass and mean
 there, with no adaptive quadrature and no second density pass. A
 tabulated law's knots are its grid, a scaled law's its base law's, scaled.
 The one expectation left, T(t) without a closed form, is
-``FadingDistribution.expect``: QUADPACK over [t, support top).
+``FadingDistribution.expect``: QUADPACK over [t, support top). T does not
+depend on the power, so each law memoizes it by t
+(``tail_inverse_integral``) and a sweep integrates each threshold's T once.
 
 Distributions are immutable after construction; samplers take an
 explicit numpy Generator so callers own all random state. A sampler
@@ -88,6 +90,7 @@ from .numerics import (
 _MASS_TOL = 1e-9
 _MEAN_CROSS_CHECK_RTOL = 1e-8
 _SF_CHECK_TOL = 1e-12
+_TAIL_MEMO_SIZE = 4096  # T values a law keeps; past them T is computed, not stored
 
 DISTRIBUTION_KINDS = (
     "gamma_diversity",
@@ -205,9 +208,10 @@ class FadingDistribution:
     T(t) = E[1/z; z > t] for t > 0 without integrating this law's density:
     a closed form, or for a scaled law the base law's T. When it is None,
     ``tail_inverse_integral`` integrates T by QUADPACK through ``expect``,
-    on a bounded support as on an unbounded one. ``sf`` is
-    the survival function 1 - F (1 below 0), in a form that keeps its
-    digits where F is near 1.
+    on a bounded support as on an unbounded one; either way a law memoizes
+    its T by t, in a memo that a ``dataclasses.replace`` copy or a scaled law
+    starts empty. ``sf`` is the survival function 1 - F (1 below 0), in a
+    form that keeps its digits where F is near 1.
     """
 
     name: str
@@ -258,19 +262,31 @@ class FadingDistribution:
         the law on it. A scaled law builds its own on first use."""
         return SurvivalTable(self.sf, self.cdf, self.pdf, self.quad_knots, self.support_sup)
 
+    @functools.cached_property
+    def _tail_memo(self) -> dict:
+        return {}
+
     def tail_inverse_integral(self, t: float) -> float:
         """T(t): integral of pdf(z)/z over [t, support top); T(0) = E[1/z].
 
         The law's ``tail_inverse`` when it has one (a closed form, or a
         scaled law's map of its base law's T), and an integral through
-        ``expect`` otherwise.
+        ``expect`` otherwise. Each finite T is memoized under the float t,
+        up to ``_TAIL_MEMO_SIZE`` entries, so a later call at the same t
+        returns the same float without computing it; a call that raises
+        stores nothing.
         """
         t = max(float(t), 0.0)
         if t == 0.0 and not self.inverse_mean_finite:
             return math.inf
-        if self.tail_inverse is not None:
-            return self.tail_inverse(t)
-        return self.expect(lambda z: 1.0 / z, lo=t)
+        memo = self._tail_memo
+        if t in memo:
+            return memo[t]
+        T = (self.tail_inverse(t) if self.tail_inverse is not None
+             else self.expect(lambda z: 1.0 / z, lo=t))
+        if len(memo) < _TAIL_MEMO_SIZE and math.isfinite(t) and math.isfinite(T):
+            memo[t] = T
+        return T
 
     def sample(self, rng: np.random.Generator, size: int = None):
         """Draw effective gains; a scalar when size is None."""

@@ -64,7 +64,7 @@ class ThresholdSolution:
 
     z_t: float
     residual: Optional[float]
-    # thresholds whose tail integral was read: OA's cutoffs integrated, TCI's T
+    # thresholds whose tail was read: OA's cutoffs integrated, TCI's T, memo hits included
     iterations: int
     capacity_nats: float
 
@@ -238,7 +238,9 @@ def tci_optimize(dist: FadingDistribution, S: float) -> tuple[ThresholdSolution,
     with its derivative from sf' = -p and dT/du = -p, in each grid cell
     where it falls through zero. The capacity, the condition and its
     derivative read one (z_t, sf, T) per threshold, which rejects a T <= 0
-    as ``tci_dmax`` does; ``iterations`` counts the thresholds read.
+    as ``tci_dmax`` does; ``iterations`` counts the thresholds read in the
+    call, those whose T the law had memoized included. The grid does not
+    depend on S, so a sweep integrates its T once.
     """
     _check_power(S)
     known = {}  # (z_t, sf, T) of each threshold read, under log z_t and the u of z_t = e^u

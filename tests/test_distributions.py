@@ -31,7 +31,7 @@ from fadecap.distributions import (
     make_tabulated,
 )
 from fadecap.numerics import EULER_MASCHERONI, SurvivalTable, integrate_semi_infinite
-from fadecap.schemes import Scheme, capacity
+from fadecap.schemes import Scheme, _default_threshold_bracket, capacity
 
 import oracles  # perfbench/oracles.py; pyproject.toml puts perfbench/ on the path
 import workloads
@@ -660,6 +660,72 @@ def test_tail_inverse_integral_on_a_bounded_law_without_a_closed_form():
         assert law.tail_inverse_integral(t) == pytest.approx(math.log(2.0), rel=1e-12), t
     for t in (2.0, 3.0, math.inf):
         assert law.tail_inverse_integral(t) == 0.0, t
+
+
+def test_tail_memo_starts_empty_on_a_new_law_a_copy_and_a_scaled_law(monkeypatch):
+    # building a law computes no T, and a dataclasses.replace copy or a
+    # scaled law of a law whose T is memoized integrates its own T again
+    law = make_miso_multiuser(2, 2)
+    assert "_tail_memo" not in vars(law)
+    calls, expect = [], FadingDistribution.expect
+    monkeypatch.setattr(FadingDistribution, "expect",
+                        lambda self, g, lo: calls.append(lo) or expect(self, g, lo))
+    first = law.tail_inverse_integral(1.0)
+    assert law.tail_inverse_integral(1.0) == first and calls == [1.0]
+    assert law._tail_memo == {1.0: first}
+    copy = dataclasses.replace(law)
+    assert "_tail_memo" not in vars(copy)
+    assert copy.tail_inverse_integral(1.0) == first and calls == [1.0, 1.0]
+    scaled = law.scaled(2.0)
+    assert "_tail_memo" not in vars(scaled)
+    # the scaled law maps its base law's memoized T(1) and stores its own
+    assert scaled.tail_inverse_integral(2.0) == first / 2.0 and calls == [1.0, 1.0]
+    assert scaled._tail_memo == {2.0: first / 2.0}
+
+
+def test_tail_memo_stores_no_failed_call():
+    # tci:opt's grid point 44 on frechet(0.8): QUADPACK raises there at every
+    # call, and the memo keeps only the T it could integrate
+    law = make_frechet(0.8)
+    bracket = _default_threshold_bracket(law)
+    t = np.geomspace(bracket.lo, bracket.hi, numerics._MAXIMIZE_GRID).tolist()[44]
+    assert t == pytest.approx(1.883e5, rel=1e-3)
+    law.tail_inverse_integral(1.0)
+    for _ in range(2):
+        with pytest.raises(numerics.QuadratureError):
+            law.tail_inverse_integral(t)
+        assert list(law._tail_memo) == [1.0]
+
+
+def test_tail_memo_stores_no_nan_and_no_infinite_argument_or_value():
+    # a tabulated T reads 0 at NaN and at inf (bisect puts both past the
+    # grid), which the memo must not store: NaN keys never match each other
+    tab = make_tabulated(exp_grid())
+    for _ in range(3):
+        assert tab.tail_inverse_integral(math.nan) == 0.0
+        assert tab.tail_inverse_integral(math.inf) == 0.0
+    assert tab._tail_memo == {}
+    for value in (math.nan, math.inf):
+        broken = dataclasses.replace(tab, tail_inverse=lambda t, v=value: v)
+        assert broken.tail_inverse_integral(1.0) is value and broken._tail_memo == {}
+    # T(0) = E[1/z] = inf on Rayleigh, returned before the memo is read
+    rayleigh = make_gamma_diversity(1)
+    assert rayleigh.tail_inverse_integral(0.0) == math.inf
+    assert not vars(rayleigh).get("_tail_memo")
+
+
+def test_tail_memo_holds_its_cap():
+    law = make_gamma_diversity(2)
+    cap = distributions._TAIL_MEMO_SIZE
+    ts = np.geomspace(1e-3, 30.0, cap + 50).tolist()
+    got = [law.tail_inverse_integral(t) for t in ts]
+    assert len(law._tail_memo) == cap
+    assert list(law._tail_memo) == ts[:cap]
+    # past the cap T is computed, not stored, and reads the same floats
+    fresh = make_gamma_diversity(2)
+    assert [law.tail_inverse_integral(t) for t in ts[::-1]] == got[::-1]
+    assert got[cap:] == [fresh.tail_inverse_integral(t) for t in ts[cap:]]
+    assert len(law._tail_memo) == cap
 
 
 def _quad_pdf(d, g, a, b=math.inf):

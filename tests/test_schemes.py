@@ -454,13 +454,52 @@ class TestCtciAgainstOracles:
 ], ids=["gamma2", "tabulated", "scaled_gamma3", "miso22"])
 def test_ctci_cost_pin_integrals(monkeypatch, law, integrators):
     # the region below the cutoff is summed on the survival table's nodes;
-    # only a law without a closed-form T integrates, once, for T(z_t)
-    law = law()
+    # only a law without a closed-form T integrates, once for T(z_t) over
+    # all three powers, since the law memoizes T. The copy starts its memo
+    # empty whatever other tests read on the cached law
+    law = dataclasses.replace(law())
     calls = _watch_integrators(monkeypatch)
     for S in (1e-6, 10.0, 1e9):
-        calls.clear()
         ctci_capacity(law, S, 1.0)
-        assert len(calls) == integrators, (S, calls)
+    assert len(calls) == integrators, calls
+
+
+# laws whose T has no closed form, built afresh so that each starts its T memo empty
+MEMO_LAWS = pytest.mark.parametrize("build", [
+    lambda: make_miso_multiuser(2, 2), lambda: make_max_exponential(4),
+    lambda: make_frechet(2.5, 3), lambda: make_miso_multiuser(2, 2).scaled(2.5),
+], ids=["miso22", "maxexp4", "frechet25_3", "scaled_miso22"])
+
+
+@MEMO_LAWS
+def test_memoized_tail_gives_the_bits_of_a_fresh_law(build):
+    # a sweep reads T from the memo that earlier powers filled; each result
+    # must carry the bits that a law built for that power alone computes
+    def results(law, S):
+        opt = capacity(law, Scheme.TCI, S, optimize_threshold=True)
+        rows = [oa_capacity(law, S), tci_capacity(law, S, 1.0), ctci_capacity(law, S, 1.0), opt]
+        return [(r.capacity_nats.hex(), r.threshold_z_t.hex(), (r.d_max or 0.0).hex())
+                for r in rows]
+
+    swept = build()
+    for db in range(-60, 91, 10):
+        S = 10.0 ** (db / 10.0)
+        assert results(swept, S) == results(build(), S), db
+
+
+@MEMO_LAWS
+def test_six_scheme_sweep_integrates_each_threshold_once(monkeypatch, build):
+    # the six schemes of a fadecap sweep at 21 SNRs, TCI and CTCI sharing
+    # z_t = 1, plus CTCI at z_t = 3: T depends on the law and the threshold
+    # alone, so the sweep integrates it once per threshold
+    law = build()
+    calls = _watch_integrators(monkeypatch)
+    for db in np.linspace(-10.0, 40.0, 21):
+        S = 10.0 ** (db / 10.0)
+        for scheme, z_t in (("awgn", None), ("oa", None), ("ra", None), ("ci", None),
+                            ("tci", 1.0), ("ctci", 1.0), ("ctci", 3.0)):
+            capacity(law, Scheme(scheme), S, z_t=z_t)
+    assert len(calls) == 2, calls
 
 
 @pytest.mark.parametrize("law", [lambda: _gamma_law(2), lambda: _tabulated_law(2.0)],
@@ -764,11 +803,25 @@ class TestTciOptimize:
     ], ids=["gamma2", "tabulated", "scaled_gamma3", "miso22"])
     def test_cost_pin_integrals(self, monkeypatch, law, integrates):
         # F and a closed-form T are all tci_optimize needs; a law without
-        # a closed-form T integrates it at every threshold tried
-        law = law()
+        # a closed-form T integrates it at every threshold it has not read
+        # before, here on a copy whose memo starts empty
+        law = dataclasses.replace(law())
         calls = _watch_integrators(monkeypatch)
         tci_optimize(law, 10.0)
         assert bool(calls) == integrates
+
+    def test_sweep_integrates_the_shared_grid_once(self, monkeypatch):
+        # the 64-point grid does not depend on S, so a 3-SNR sweep
+        # integrates it once and then only the thresholds each root solve
+        # tries: at most 5 per SNR
+        law = make_miso_multiuser(2, 2)
+        calls = _watch_integrators(monkeypatch)
+        iterations = []
+        for db in (0.0, 14.0, 28.0):
+            iterations.append(tci_optimize(law, 10.0 ** (db / 10.0))[0].iterations)
+        assert len(calls) <= numerics._MAXIMIZE_GRID + 5 * 3, len(calls)
+        # iterations counts every threshold read in the call, memo hits included
+        assert min(iterations) > numerics._MAXIMIZE_GRID, iterations
 
     @pytest.mark.parametrize("law", ["gamma2", "miso22", "tab"])
     def test_threshold_solves_the_first_order_condition(self, law):
