@@ -266,7 +266,7 @@ class FadingDistribution:
     def _tail_memo(self) -> dict:
         return {}
 
-    def tail_inverse_integral(self, t: float) -> float:
+    def tail_inverse_integral(self, t: float, memoize: bool = True) -> float:
         """T(t): integral of pdf(z)/z over [t, support top); T(0) = E[1/z].
 
         The law's ``tail_inverse`` when it has one (a closed form, or a
@@ -274,7 +274,7 @@ class FadingDistribution:
         ``expect`` otherwise. Each finite T is memoized under the float t,
         up to ``_TAIL_MEMO_SIZE`` entries, so a later call at the same t
         returns the same float without computing it; a call that raises
-        stores nothing.
+        stores nothing, nor does one with ``memoize`` false.
         """
         t = max(float(t), 0.0)
         if t == 0.0 and not self.inverse_mean_finite:
@@ -284,7 +284,7 @@ class FadingDistribution:
             return memo[t]
         T = (self.tail_inverse(t) if self.tail_inverse is not None
              else self.expect(lambda z: 1.0 / z, lo=t))
-        if len(memo) < _TAIL_MEMO_SIZE and math.isfinite(t) and math.isfinite(T):
+        if memoize and len(memo) < _TAIL_MEMO_SIZE and math.isfinite(t) and math.isfinite(T):
             memo[t] = T
         return T
 

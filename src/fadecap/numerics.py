@@ -30,6 +30,7 @@ sf its mean, which the law checks when built.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -418,6 +419,18 @@ def find_root_monotone(
     raise RuntimeError("Newton iteration did not converge in 200 steps")
 
 
+@functools.lru_cache(maxsize=64)  # a bracket depends on the law alone
+def _log_grid(lo: float, hi: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    grid = tuple(np.geomspace(lo, hi, _MAXIMIZE_GRID).tolist())
+    return grid, tuple(math.log(x) for x in grid)
+
+
+def _argmax(values: Sequence[float]) -> int:
+    """``np.argmax`` of floats without an array: the first NaN, else the first largest."""
+    nan = [i for i, v in enumerate(values) if v != v]
+    return nan[0] if nan else values.index(max(values))
+
+
 def maximize_unimodal(
     h: Callable[[float], float],
     bracket: Bracket,
@@ -438,16 +451,15 @@ def maximize_unimodal(
     """
     if not bracket.lo > 0.0:
         raise ValueError(f"the bracket must be positive, got [{bracket.lo}, {bracket.hi}]")
-    grid = np.geomspace(bracket.lo, bracket.hi, _MAXIMIZE_GRID).tolist()
-    u = [math.log(x) for x in grid]
+    grid, u = _log_grid(bracket.lo, bracket.hi)
     values = [h(x) for x in grid]
     signs = [foc(v) for v in u]
-    best = int(np.argmax(values))
+    best = _argmax(values)
     roots = [math.exp(find_root_monotone(foc, Bracket(a, b), REL_TOL, dg=dfoc))
              for a, b, fa, fb in zip(u, u[1:], signs, signs[1:]) if fa > 0.0 > fb]
     if roots:
         peaks = [h(x) for x in roots]
-        k = int(np.argmax(peaks))
+        k = _argmax(peaks)
         # written so that a NaN h at the root keeps the grid point
         if peaks[k] >= values[best] - REL_TOL * abs(values[best]):
             return roots[k]

@@ -178,13 +178,13 @@ def ci_capacity(dist: FadingDistribution, S: float) -> CapacityResult:
     return CapacityResult(Scheme.CI, S, math.log1p(S / dist.inverse_mean))
 
 
-def _tci_tail(dist: FadingDistribution, z_t: float) -> float:
+def _tci_tail(dist: FadingDistribution, z_t: float, memoize: bool = True) -> float:
     """T(z_t) = E[1/z; z > z_t], with the checks ``tci_dmax`` describes."""
     if not 0.0 < z_t < dist.support_sup:
         raise ValueError(
             f"threshold must lie inside the support (0, {dist.support_sup}), got {z_t}"
         )
-    T = dist.tail_inverse_integral(z_t)
+    T = dist.tail_inverse_integral(z_t, memoize)
     if T <= 0.0:
         raise ValueError(f"no channel mass above threshold {z_t}")
     return T
@@ -239,15 +239,18 @@ def tci_optimize(dist: FadingDistribution, S: float) -> tuple[ThresholdSolution,
     where it falls through zero. The capacity, the condition and its
     derivative read one (z_t, sf, T) per threshold, which rejects a T <= 0
     as ``tci_dmax`` does; ``iterations`` counts the thresholds read in the
-    call, those whose T the law had memoized included. The grid does not
-    depend on S, so a sweep integrates its T once.
+    call, those whose T the law had memoized included. The law memoizes T
+    on the grid, which does not depend on S and is read whole before the
+    first ``foc``, and not at the root solve's thresholds, which do.
     """
     _check_power(S)
     known = {}  # (z_t, sf, T) of each threshold read, under log z_t and the u of z_t = e^u
+    on_grid = True
 
     def point(u: float, z_t: float) -> tuple[float, float, float]:
         if u not in known:
-            known[u] = known[math.log(z_t)] = (z_t, float(dist.sf(z_t)), _tci_tail(dist, z_t))
+            known[u] = known[math.log(z_t)] = (z_t, float(dist.sf(z_t)),
+                                               _tci_tail(dist, z_t, on_grid))
         return known[u]
 
     def capacity_at(z_t: float) -> float:
@@ -255,6 +258,8 @@ def tci_optimize(dist: FadingDistribution, S: float) -> tuple[ThresholdSolution,
         return sf * math.log1p(S / T)
 
     def foc(u: float) -> float:
+        nonlocal on_grid
+        on_grid = False
         z_t, sf, T = point(u, math.exp(u))
         return sf * S / (T * (T + S)) - z_t * math.log1p(S / T)
 

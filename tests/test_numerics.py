@@ -308,6 +308,19 @@ class TestMaximizeUnimodal:
                               foc=lambda u: math.nan, dfoc=lambda u: math.nan)
         assert x == float(grid[np.argmin(np.abs(grid - 3.0))])
 
+    def test_scan_picks_the_grid_point_np_argmax_picks(self):
+        # the scan reads a cached grid and takes its best point without an
+        # array: the grid is np.geomspace's to the bit, and a NaN h wins
+        # where np.argmax would put it, at its first NaN
+        grid = np.geomspace(0.1, 10.0, 64).tolist()
+        for nan_at in (0, 20, 40):
+            def h(x):
+                return math.nan if x in (grid[nan_at], grid[50]) else -((x - 3.0) ** 2)
+
+            x = maximize_unimodal(h, Bracket(0.1, 10.0),
+                                  foc=lambda u: math.nan, dfoc=lambda u: math.nan)
+            assert x == grid[int(np.argmax([h(g) for g in grid]))] == grid[nan_at]
+
     @pytest.mark.parametrize("lo", [0.0, -1.0])
     def test_rejects_a_bracket_that_is_not_positive(self, lo):
         with pytest.raises(ValueError, match="positive"):

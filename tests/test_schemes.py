@@ -725,9 +725,9 @@ def test_truncated_capacity_integrates_the_tail_once(monkeypatch, miso22, capaci
     original = FadingDistribution.tail_inverse_integral
     points = []
 
-    def counted(dist, t):
+    def counted(dist, t, *args):
         points.append(t)
-        return original(dist, t)
+        return original(dist, t, *args)
 
     monkeypatch.setattr(FadingDistribution, "tail_inverse_integral", counted)
     capacity_fn(miso22, 10.0, 1.0)
@@ -823,6 +823,20 @@ class TestTciOptimize:
         # iterations counts every threshold read in the call, memo hits included
         assert min(iterations) > numerics._MAXIMIZE_GRID, iterations
 
+    def test_memo_keeps_the_grid_alone(self, monkeypatch):
+        # the root solve's thresholds depend on S, so the law stores T on the
+        # grid alone, however many powers it is optimized at, and a repeat at
+        # one power integrates again only the thresholds its root solve reads
+        law = make_miso_multiuser(2, 2)
+        for db in (0.0, 14.0, 28.0):
+            tci_optimize(law, 10.0 ** (db / 10.0))
+        assert len(law._tail_memo) == numerics._MAXIMIZE_GRID
+        calls = _watch_integrators(monkeypatch)
+        first = tci_optimize(law, 10.0 ** 1.4)
+        assert 0 < len(calls) <= 5, len(calls)
+        assert len(law._tail_memo) == numerics._MAXIMIZE_GRID
+        assert first == tci_optimize(law, 10.0 ** 1.4)
+
     @pytest.mark.parametrize("law", ["gamma2", "miso22", "tab"])
     def test_threshold_solves_the_first_order_condition(self, law):
         # the oracle's optimum is a 30-digit root of the first-order
@@ -888,9 +902,9 @@ class TestTciOptimize:
         original = FadingDistribution.tail_inverse_integral
         points = []
 
-        def counted(dist, t):
+        def counted(dist, t, *args):
             points.append(t)
-            return original(dist, t)
+            return original(dist, t, *args)
 
         monkeypatch.setattr(FadingDistribution, "tail_inverse_integral", counted)
         for db in range(-60, 91, 30):

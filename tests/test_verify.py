@@ -116,7 +116,7 @@ def test_a_tail_functional_off_by_1e_6_fails_the_power_residuals(monkeypatch, la
     dist = law()
     original = FadingDistribution.tail_inverse_integral
     monkeypatch.setattr(FadingDistribution, "tail_inverse_integral",
-                        lambda self, t: original(self, t) * (1.0 + 1e-6))
+                        lambda self, t, *args: original(self, t, *args) * (1.0 + 1e-6))
     result = check_power_residuals(dist)[0]
     assert result.name == "power_residuals"
     assert not result.passed, result
