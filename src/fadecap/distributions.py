@@ -122,10 +122,12 @@ def _as_float_or_array(z, compute_pos, at_zero: float = 0.0):
     there) and z == +inf to the function's limit there (see
     ``_limit_at_inf``). A float argument (a Python float, or
     ``np.float64``) takes a direct path with no array allocation and
-    returns a Python float: QUADPACK calls densities one point at a time,
-    and takes this path for T(t) without a closed form. An array whose
-    entries are all finite and positive goes to ``compute_pos`` whole, in
-    its own shape, and the rest as a flat array of those entries.
+    returns a Python float: QUADPACK calls densities one point at a time
+    for T(t) without a closed form, OA's Newton slopes and TCI/CTCI read
+    sf and F at one threshold, and ``tci_optimize`` at each of its grid
+    points. An array whose entries are all finite and positive goes to
+    ``compute_pos`` whole, in its own shape, and the rest as a flat array
+    of those entries.
     ``compute_pos`` therefore gets either an array or the float itself
     and must accept both.
     """
@@ -828,7 +830,9 @@ def make_miso_multiuser(N, K) -> FadingDistribution:
 
 class _TabulatedLaw:
     """T, CDF, survival function and inverse-CDF sampling of a
-    piecewise-linear pdf."""
+    piecewise-linear pdf. F and sf take a float on a pure-Python path
+    (``bisect`` on lists of floats) and an array on numpy's, through the
+    same expressions in the same order, so both give the same bits."""
 
     def __init__(self, z: np.ndarray, grid_p: np.ndarray, mass: float):
         """``grid_p`` is the density as given, ``mass`` its trapezoid mass."""
@@ -838,13 +842,20 @@ class _TabulatedLaw:
         seg_mass = 0.5 * (self.p[:-1] + self.p[1:]) * h
         self.cum = np.concatenate(([0.0], np.cumsum(seg_mass)))
         self.cum[-1] = 1.0  # the density is renormalized; pin the top exactly
-        self.top_cum = np.concatenate((np.cumsum(seg_mass[::-1])[::-1], [0.0]))
+        top_cum = np.concatenate((np.cumsum(seg_mass[::-1])[::-1], [0.0]))
         self._z_list, self._grid_p = z.tolist(), grid_p.tolist()
         # T is divided by the trapezoid mass summed by ``math.fsum``: on the
         # test grids it is the float nearest the exact mass, which numpy's
         # pairwise sum (``mass``, which the density keeps) can miss by an ulp
         self._mass = math.fsum((0.5 * (grid_p[:-1] + grid_p[1:]) * h).tolist())
         self._tail = _grid_tails(self._z_list, self._grid_p, self._mass)
+        # segment k holds x when k interior points are <= x; sf reads its top
+        # end, cdf its bottom end, from arrays or from rows of floats
+        self._inner, self._inner_list, dp = z[1:-1], z[1:-1].tolist(), self.p[1:] - self.p[:-1]
+        self._top = (z[1:], h, self.p[1:], dp, top_cum[1:])
+        self._bottom = (z[:-1], h, self.p[:-1], dp, self.cum[:-1])
+        self._top_rows, self._bottom_rows = (list(zip(*(a.tolist() for a in ends)))
+                                             for ends in (self._top, self._bottom))
 
     def tail_inverse(self, t: float) -> float:
         """T(t) for t >= 0: T at the top of the segment holding t plus the
@@ -867,23 +878,31 @@ class _TabulatedLaw:
         return np.interp(np.fmax(x, -1.0), self.z, self.p, left=0.0, right=0.0)
 
     def cdf(self, x):
-        """F at finite x > 0, an ``np.float64`` or an array."""
-        idx = np.clip(np.searchsorted(self.z, x, side="right") - 1, 0, len(self.z) - 2)
-        z0 = self.z[idx]
-        slope = (self.p[idx + 1] - self.p[idx]) / (self.z[idx + 1] - z0)
-        u = np.clip(x - z0, 0.0, self.z[idx + 1] - z0)
-        out = self.cum[idx] + self.p[idx] * u + 0.5 * slope * u * u
-        return np.clip(np.where(x >= self.z[-1], 1.0, out), 0.0, 1.0)
+        """F at finite x > 0: the segment masses below x's segment plus the
+        part of it below x; a float and an array give the same bits."""
+        if isinstance(x, float):
+            z0, w, p0, dp, cum = self._bottom_rows[bisect.bisect_right(self._inner_list, x)]
+            u = min(max(x - z0, 0.0), w)
+            out = cum + p0 * u + 0.5 * (dp / w) * u * u
+            return 1.0 if x >= self._z_list[-1] else min(max(out, 0.0), 1.0)
+        k = np.searchsorted(self._inner, x, side="right")
+        z0, w, p0, dp, cum = (a[k] for a in self._bottom)
+        u = np.minimum(np.maximum(x - z0, 0.0), w)
+        out = cum + p0 * u + 0.5 * (dp / w) * u * u
+        return np.minimum(np.maximum(np.where(x >= self.z[-1], 1.0, out), 0.0), 1.0)
 
     def sf(self, x):
         """1 - F at finite x > 0: the segment masses above x's segment,
-        summed from the top, plus the part of that segment above x."""
-        idx = np.clip(np.searchsorted(self.z, x, side="right") - 1, 0, len(self.z) - 2)
-        z1 = self.z[idx + 1]
-        u = np.clip(z1 - x, 0.0, z1 - self.z[idx])
-        p1 = self.p[idx + 1]
-        p_x = p1 - (p1 - self.p[idx]) * u / (z1 - self.z[idx])
-        return self.top_cum[idx + 1] + 0.5 * (p_x + p1) * u
+        summed from the top, plus the part of that segment above x; a float
+        and an array give the same bits."""
+        if isinstance(x, float):
+            z1, w, p1, dp, top = self._top_rows[bisect.bisect_right(self._inner_list, x)]
+            u = min(max(z1 - x, 0.0), w)
+            return top + 0.5 * (p1 - dp * u / w + p1) * u
+        k = np.searchsorted(self._inner, x, side="right")
+        z1, w, p1, dp, top = (a[k] for a in self._top)
+        u = np.minimum(np.maximum(z1 - x, 0.0), w)
+        return top + 0.5 * (p1 - dp * u / w + p1) * u
 
     def sample(self, rng, n: int) -> np.ndarray:
         u = rng.random(n)

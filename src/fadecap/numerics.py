@@ -69,6 +69,8 @@ SF_TABLE_CUT = 1e-20
 # where z and 1/z stay normal floats.
 _END_STEP = 0.5
 _U_LIMIT = 700.0
+# points of that grid in _upper_end's first read of sf
+_END_BLOCK = 32
 
 # Log-spaced points of maximize_unimodal's pre-scan.
 _MAXIMIZE_GRID = 64
@@ -301,7 +303,16 @@ class SurvivalTable:
         the integral of sf du for a decreasing sf, is below ``SF_TABLE_CUT``."""
         u_ref = math.log(knots[-1]) if knots else 0.0
         u = u_ref + np.arange(0.0, _U_LIMIT - u_ref, _END_STEP)
-        rest = _sum_from_top(_END_STEP * np.asarray(sf(np.exp(u))))[:-1]
+        # sf is read on blocks of doubling length until it reads 0; the points
+        # past that are zeros, which the sums from the top would add first,
+        # exactly
+        blocks, i, n = [u[:0]], 0, _END_BLOCK
+        while i < u.size:
+            blocks.append(np.asarray(sf(np.exp(u[i:i + n]))))
+            if blocks[-1][-1] == 0.0:
+                break
+            i, n = i + n, 2 * n
+        rest = _sum_from_top(_END_STEP * np.concatenate(blocks))[:-1]
         small = np.nonzero(rest <= SF_TABLE_CUT)[0]
         return float(u[small[0]] if small.size else u[-1])
 

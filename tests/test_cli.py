@@ -303,13 +303,18 @@ class TestSweepCommand:
         ("sweep_miso22_tci_opt.csv",
          ["--dist", "miso:N=2,K=2", "--schemes", "tci:opt,tci:zt=1,ctci:zt=1",
           "--snr-db=-60:90:5"]),
+        ("sweep_tab3_tci_opt.csv",
+         ["--dist", "tab:path={tab3}", "--schemes", "tci:opt,tci:zt=1,ctci:zt=1",
+          "--snr-db=-60:90:5"]),
     ])
     def test_default_output_matches_golden_file(self, capsys, tmp_path, fixture, args):
         # the miso and gamma files were written before OA took its capacity
         # from the cutoff solve and CTCI its region below the cutoff from the
         # survival table, the tabulated one before T and the moments of a
-        # tabulated law were summed in floats, and the tci:opt one before a
-        # law memoized T; the default output keeps every byte
+        # tabulated law were summed in floats, the miso tci:opt one before a
+        # law memoized T and the tabulated tci:opt one before its survival
+        # function and CDF read floats from lists; the default output keeps
+        # every byte
         tab3 = tmp_path / "tab3.csv"
         tab3.write_text("".join(f"{z!r},{p!r}\n" for z, p in workloads.tab_grid(3)),
                         encoding="utf-8")

@@ -1206,3 +1206,165 @@ def test_miso_survival_raises_no_warning_where_the_poisson_tail_rounds_past_one(
         values = [law.sf(z), law.sf(z[:20]), np.array([law.sf(float(v)) for v in z])]
     for got in values:
         assert np.all(got == 1.0)
+
+
+# A tabulated law reads sf and F on lists of floats for a float argument and
+# on per-segment arrays for an array; both must give the same bits. The
+# grids: the benchmark's, one starting at z0 > 0 and one with p(0) > 0.
+TAB_BIT_GRIDS = {
+    **{f"tab{seed}": workloads.tab_grid(seed) for seed in range(8)},
+    "z0_positive": [(0.5, 0.1), (1.0, 0.6), (2.0, 0.4), (3.5, 0.05), (4.0, 0.0)],
+    "p0_positive": [(0.0, 0.3), (0.7, 0.9), (1.5, 0.5), (3.0, 0.2), (5.0, 0.01)],
+}
+
+
+def _tab_probe_points(grid):
+    """Every grid point and 1 ulp either side, each segment's midpoint,
+    points below the first grid point, at the top and past it, 1e-300
+    and seeded uniforms up past the top; all positive."""
+    z = [zi for zi, _ in grid]
+    points = [x for zi in z
+              for x in (math.nextafter(zi, -math.inf), zi, math.nextafter(zi, math.inf))]
+    points += [0.5 * (a + b) for a, b in zip(z[:-1], z[1:])]
+    points += [0.5 * z[0], 0.999 * z[0], z[-1], 1.5 * z[-1], 1e300, 1e-300]
+    points += np.random.default_rng(12).uniform(0.0, 1.1 * z[-1], 200).tolist()
+    return [x for x in points if x > 0.0]
+
+
+def _clipped_index_reference(grid, fn, x):
+    """sf or F on the whole grid with the segment index clipped into range,
+    the formula the per-segment arrays replace."""
+    zg, p = np.array([z for z, _ in grid]), np.array([q for _, q in grid])
+    p = p / float(np.sum(0.5 * (p[:-1] + p[1:]) * np.diff(zg)))
+    idx = np.clip(np.searchsorted(zg, x, side="right") - 1, 0, len(zg) - 2)
+    seg = 0.5 * (p[:-1] + p[1:]) * np.diff(zg)
+    if fn == "sf":
+        top_cum = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
+        z1 = zg[idx + 1]
+        u = np.clip(z1 - x, 0.0, z1 - zg[idx])
+        p_x = p[idx + 1] - (p[idx + 1] - p[idx]) * u / (z1 - zg[idx])
+        return top_cum[idx + 1] + 0.5 * (p_x + p[idx + 1]) * u
+    cum = np.concatenate(([0.0], np.cumsum(seg)))
+    cum[-1] = 1.0
+    z0 = zg[idx]
+    slope = (p[idx + 1] - p[idx]) / (zg[idx + 1] - z0)
+    u = np.clip(x - z0, 0.0, zg[idx + 1] - z0)
+    out = cum[idx] + p[idx] * u + 0.5 * slope * u * u
+    return np.clip(np.where(x >= zg[-1], 1.0, out), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(TAB_BIT_GRIDS))
+@pytest.mark.parametrize("fn", ["sf", "cdf"])
+def test_tabulated_float_path_gives_the_array_paths_bits(name, fn):
+    grid = TAB_BIT_GRIDS[name]
+    f = getattr(make_tabulated(grid), fn)
+    points = _tab_probe_points(grid)
+    batch = f(np.array(points))
+    reference = _clipped_index_reference(grid, fn, np.array(points))
+    for x, expected, ref in zip(points, batch.tolist(), reference.tolist()):
+        got = f(x)
+        assert isinstance(got, float)
+        assert got.hex() == expected.hex() == ref.hex() == f(np.float64(x)).hex(), (x, got)
+    # an array keeps its shape, and each entry its bits
+    even = np.array(points[: len(points) // 2 * 2])
+    assert [v.hex() for v in f(even.reshape(2, -1)).ravel().tolist()] == [
+        v.hex() for v in batch[: even.size].tolist()]
+
+
+def _linear_density_tail_oracle(grid):
+    """x -> the integral over [x, top] of the piecewise-linear density
+    through the grid, divided by its mass, integrated by mpmath segment by
+    segment; call it under ``mpmath.workdps``."""
+    z = [mpmath.mpf(zi) for zi, _ in grid]
+    p = [mpmath.mpf(pi) for _, pi in grid]
+
+    def integral(k, lo):
+        line = lambda t: p[k] + (p[k + 1] - p[k]) * (t - z[k]) / (z[k + 1] - z[k])
+        return mpmath.quad(line, [lo, z[k + 1]], method="gauss-legendre")
+
+    segments = [integral(k, z[k]) for k in range(len(z) - 1)]
+    mass = sum(segments)
+
+    def tail(x):
+        if x >= z[-1]:
+            return mpmath.mpf(0)
+        k = max([0] + [i for i in range(len(z) - 1) if z[i] <= x])
+        return (integral(k, max(mpmath.mpf(x), z[k])) + sum(segments[k + 1:])) / mass
+
+    return tail
+
+
+@pytest.mark.parametrize("name", sorted(TAB_BIT_GRIDS))
+def test_tabulated_survival_function_matches_the_mpmath_integral_of_its_density(name):
+    grid = TAB_BIT_GRIDS[name]
+    law = make_tabulated(grid)
+    z = [zi for zi, _ in grid]
+    points = [0.5 * (a + b) for a, b in zip(z[:-1], z[1:])] + z[1:-1]
+    points += np.random.default_rng(13).uniform(0.0, z[-1], 20).tolist()
+    with mpmath.workdps(oracles.DPS):
+        exact_tail = _linear_density_tail_oracle(grid)
+        for x in points:
+            exact = exact_tail(x)
+            if exact > 1e-12:
+                for got in (law.sf(x), float(law.sf(np.array([x]))[0])):
+                    assert float(abs(got - exact) / exact) <= 1e-14, (x, got)
+
+
+def test_tabulated_float_path_and_a_warm_tci_opt_call_no_searchsorted_or_clip(monkeypatch):
+    # sf and F at a float read lists of floats, so with np.searchsorted and
+    # np.clip refused they and a warm optimized TCI point give the same values
+    law = make_tabulated(workloads.tab_grid(3))
+
+    def values():
+        return law.sf(1.3), law.cdf(1.3), capacity(law, Scheme.TCI, 10.0, optimize_threshold=True)
+
+    expected = values()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy searched or clipped on the float path")
+
+    monkeypatch.setattr(np, "searchsorted", refused)
+    monkeypatch.setattr(np, "clip", refused)
+    assert values() == expected
+
+
+def _full_grid_upper_end(sf, knots):
+    """``SurvivalTable._upper_end`` with sf read on the whole grid at once."""
+    u_ref = math.log(knots[-1]) if knots else 0.0
+    u = u_ref + np.arange(0.0, numerics._U_LIMIT - u_ref, numerics._END_STEP)
+    sf_u = np.asarray(sf(np.exp(u)))
+    rest = numerics._sum_from_top(numerics._END_STEP * sf_u)[:-1]
+    small = np.nonzero(rest <= numerics.SF_TABLE_CUT)[0]
+    return float(u[small[0]] if small.size else u[-1]), sf_u
+
+
+UNBOUNDED_LAWS = {
+    **{f"gamma{N}": partial(make_gamma_diversity, N) for N in (1, 2, 64, 256)},
+    **{f"maxexp{K}": partial(make_max_exponential, K) for K in (1, 4, 64)},
+    **{f"miso{N},{K}": partial(make_miso_multiuser, N, K) for N, K in ((1, 1), (2, 2), (64, 8))},
+    **{f"frechet{a},{K}": partial(make_frechet, a, K)
+       for a, K in ((0.8, 1), (1.01, 8), (2.5, 3), (50, 1))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNBOUNDED_LAWS))
+def test_upper_end_stops_reading_where_sf_reads_zero_and_keeps_the_full_grid_cut(name):
+    law = UNBOUNDED_LAWS[name]()
+    knots = sorted(float(k) for k in law.quad_knots if 0.0 < k)
+    read = []
+
+    def sf(z):
+        read.append(z.size)
+        return law.sf(z)
+
+    u_hi = SurvivalTable._upper_end(sf, knots)
+    full_u_hi, sf_u = _full_grid_upper_end(law.sf, knots)
+    assert u_hi.hex() == full_u_hi.hex() == law.survival_table.u_edges[-1].hex()
+    zeros = np.nonzero(sf_u == 0.0)[0]
+    if zeros.size:
+        # every point past the first 0 reads 0, and reading stops within
+        # twice as far as that point, plus the first block
+        assert np.all(sf_u[zeros[0]:] == 0.0)
+        assert zeros[0] < sum(read) <= 2 * zeros[0] + numerics._END_BLOCK
+    else:
+        assert sum(read) == sf_u.size
